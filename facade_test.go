@@ -304,8 +304,8 @@ func TestFacadeAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tvgwait.AllForemost(cs, tvgwait.Wait(), 0)
-	r := tvgwait.ReachabilityMatrix(cs, tvgwait.Wait(), 0)
+	res := facadeSweep(t, cs, 0, tvgwait.SweepOpts{}, tvgwait.Wait())
+	m, r := res.Arrivals(0), res.Reach(0)
 	for src := a; src <= c; src++ {
 		for dst := a; dst <= c; dst++ {
 			arr, ok := m.At(src, dst)
@@ -349,18 +349,18 @@ func TestFacadeBuilder(t *testing.T) {
 	if _, arrival, ok := tvgwait.Foremost(c, tvgwait.Wait(), 0, 2, 0); !ok || arrival != 5 {
 		t.Fatalf("Foremost over builder set = (%d, %v), want (5, true)", arrival, ok)
 	}
-	m := tvgwait.AllForemostParallel(c, tvgwait.Wait(), 0, 4)
+	m := facadeSweep(t, c, 0, tvgwait.SweepOpts{Workers: 4}, tvgwait.Wait()).Arrivals(0)
 	if a, ok := m.At(0, 2); !ok || a != 5 {
-		t.Fatalf("AllForemostParallel At(0,2) = (%d, %v), want (5, true)", a, ok)
+		t.Fatalf("parallel Sweep At(0,2) = (%d, %v), want (5, true)", a, ok)
 	}
-	r := tvgwait.ReachabilityMatrixParallel(c, tvgwait.BoundedWait(2), 0, 4)
+	r := facadeSweep(t, c, 0, tvgwait.SweepOpts{Workers: 4}, tvgwait.BoundedWait(2)).Reach(0)
 	if !r.Reachable(0, 2) || r.Reachable(2, 0) {
-		t.Fatal("ReachabilityMatrixParallel disagrees with the schedule")
+		t.Fatal("parallel Sweep Reach disagrees with the schedule")
 	}
 }
 
-// TestFacadeSpectrum drives the wait-spectrum sweep through the facade:
-// ladder normalization, per-rung agreement with AllForemost, and the
+// TestFacadeSpectrum drives a ladder sweep through the facade: ladder
+// normalization, per-rung agreement with one-rung sweeps, and the
 // engine Spectrum request.
 func TestFacadeSpectrum(t *testing.T) {
 	g := tvgwait.NewGraph()
@@ -388,17 +388,23 @@ func TestFacadeSpectrum(t *testing.T) {
 	if ladder.Len() != 3 {
 		t.Fatalf("normalized ladder has %d rungs, want 3", ladder.Len())
 	}
-	res := tvgwait.WaitSpectrum(cs, ladder, 0)
-	resPar := tvgwait.WaitSpectrumParallel(cs, ladder, 0, 4)
+	res, err := tvgwait.Sweep(context.Background(), cs, ladder, 0, tvgwait.SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resPar, err := tvgwait.Sweep(context.Background(), cs, ladder, 0, tvgwait.SweepOpts{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < res.NumRungs(); i++ {
 		mode := res.Mode(i)
-		want := tvgwait.AllForemost(cs, mode, 0)
+		want := facadeSweep(t, cs, 0, tvgwait.SweepOpts{}, mode).Arrivals(0)
 		for src := a; src <= c; src++ {
 			for dst := a; dst <= c; dst++ {
 				arr, ok := res.Arrivals(i).At(src, dst)
 				warr, wok := want.At(src, dst)
 				if ok != wok || (ok && arr != warr) {
-					t.Errorf("%s: spectrum At(%d,%d) = (%d, %v), AllForemost (%d, %v)",
+					t.Errorf("%s: spectrum At(%d,%d) = (%d, %v), one-rung sweep (%d, %v)",
 						mode, src, dst, arr, ok, warr, wok)
 				}
 				parr, pok := resPar.Arrivals(i).At(src, dst)
@@ -422,9 +428,9 @@ func TestFacadeSpectrum(t *testing.T) {
 	}
 }
 
-// TestFacadeCancellation exercises the PR 8 cancellation surface
-// through the public facade: the Ctx entry points, the typed
-// ErrCanceled, and bit-identity with the uncancelled path.
+// TestFacadeCancellation exercises the cancellation surface through the
+// public facade: Sweep and DeliverCtx under a cancelled ctx, the typed
+// ErrCanceled, and bit-identity with an uncancellable ctx.
 func TestFacadeCancellation(t *testing.T) {
 	g := tvgwait.NewGraph()
 	u := g.AddNode("u")
@@ -441,30 +447,39 @@ func TestFacadeCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tvgwait.AllForemostCtx(cancelled, c, tvgwait.Wait(), 0, 1, 0, nil); !errors.Is(err, tvgwait.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("AllForemostCtx on cancelled ctx: %v, want ErrCanceled wrapping context.Canceled", err)
+	wait, err := tvgwait.NewLadder(tvgwait.Wait())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tvgwait.Sweep(cancelled, c, wait, 0, tvgwait.SweepOpts{}); !errors.Is(err, tvgwait.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sweep on cancelled ctx: %v, want ErrCanceled wrapping context.Canceled", err)
 	}
 	if _, err := tvgwait.DeliverCtx(cancelled, c, tvgwait.Wait(), tvgwait.Message{Src: u, Dst: v}); !errors.Is(err, tvgwait.ErrCanceled) {
 		t.Fatalf("DeliverCtx on cancelled ctx: %v, want ErrCanceled", err)
 	}
 
-	want := tvgwait.AllForemost(c, tvgwait.Wait(), 0)
-	got, err := tvgwait.AllForemostCtx(context.Background(), c, tvgwait.Wait(), 0, 1, 0, nil)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	want := facadeSweep(t, c, 0, tvgwait.SweepOpts{}, tvgwait.Wait()).Arrivals(0)
+	got, err := tvgwait.Sweep(live, c, wait, 0, tvgwait.SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantArr, wantOK := want.At(u, v)
-	gotArr, gotOK := got.At(u, v)
+	gotArr, gotOK := got.Arrivals(0).At(u, v)
 	if wantArr != gotArr || wantOK != gotOK {
-		t.Errorf("ctx sweep arrival (%v, %v) differs from legacy (%v, %v)", gotArr, gotOK, wantArr, wantOK)
+		t.Errorf("live-ctx sweep arrival (%v, %v) differs from background (%v, %v)", gotArr, gotOK, wantArr, wantOK)
 	}
 
 	ladder, err := tvgwait.NewLadder(tvgwait.NoWait(), tvgwait.Wait())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tvgwait.WaitSpectrumCtx(cancelled, c, ladder, 0, 1, 0, nil); !errors.Is(err, tvgwait.ErrCanceled) {
-		t.Fatalf("WaitSpectrumCtx on cancelled ctx: %v, want ErrCanceled", err)
+	if _, err := tvgwait.Sweep(cancelled, c, ladder, 0, tvgwait.SweepOpts{}); !errors.Is(err, tvgwait.ErrCanceled) {
+		t.Fatalf("ladder Sweep on cancelled ctx: %v, want ErrCanceled", err)
+	}
+	if _, _, err := tvgwait.SweepCheckpointed(cancelled, c, ladder, 0, tvgwait.SweepOpts{}); !errors.Is(err, tvgwait.ErrCanceled) {
+		t.Fatalf("SweepCheckpointed on cancelled ctx: %v, want ErrCanceled", err)
 	}
 }
 
@@ -484,11 +499,16 @@ func TestFacadeIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1, ck, err := tvgwait.AllForemostCheckpointed(base, tvgwait.Wait(), 0, 1, 0, nil)
+	ctx := context.Background()
+	wait, err := tvgwait.NewLadder(tvgwait.Wait())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m1.At(0, 3); ok {
+	r1, ck, err := tvgwait.SweepCheckpointed(ctx, base, wait, 0, tvgwait.SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r1.Arrivals(0).At(0, 3); ok {
 		t.Fatal("node 3 reachable before the suffix arrives")
 	}
 	_, fck, err := tvgwait.BroadcastCheckpointed(base, tvgwait.Wait(), 0, 0)
@@ -506,14 +526,12 @@ func TestFacadeIncremental(t *testing.T) {
 		t.Fatal("appended revision does not extend its base")
 	}
 
-	m2, err := ck.AllForemost(ext, 1, nil)
+	r2, err := ck.Advance(ctx, ext, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := tvgwait.AllForemostCheckpointed(ext, tvgwait.Wait(), 0, 1, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := r2.Arrivals(0)
+	cold := facadeSweep(t, ext, 0, tvgwait.SweepOpts{}, tvgwait.Wait()).Arrivals(0)
 	for src := tvgwait.Node(0); src < 4; src++ {
 		for dst := tvgwait.Node(0); dst < 4; dst++ {
 			ra, rok := m2.At(src, dst)
@@ -546,4 +564,19 @@ func TestFacadeIncremental(t *testing.T) {
 	if !br.Reached[3] || br.Arrival[3] != 8 {
 		t.Fatalf("flood missed the suffix contact: reached=%v arr=%d", br.Reached[3], br.Arrival[3])
 	}
+}
+
+// facadeSweep sweeps the ladder of modes through the facade with an
+// uncancellable context, failing t on error.
+func facadeSweep(t *testing.T, c *tvgwait.ContactSet, t0 tvgwait.Time, o tvgwait.SweepOpts, modes ...tvgwait.Mode) *tvgwait.SpectrumResult {
+	t.Helper()
+	ladder, err := tvgwait.NewLadder(modes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tvgwait.Sweep(context.Background(), c, ladder, t0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // onceCache is a bounded LRU of immutable values keyed by string. The
-// engine uses three instances: the compiled-schedule cache (contact sets
+// engine uses two instances: the compiled-schedule cache (contact sets
 // are read-only after construction, so a cached pointer can be shared
-// by any number of concurrent workers), the per-mode metrics cache and
-// the per-ladder spectra cache.
+// by any number of concurrent workers) and the per-ladder spectra
+// cache.
 //
 // Builds are DETACHED: the first request for a key spawns the build on
 // its own goroutine under the engine's base context, and every request
@@ -48,9 +48,6 @@ type onceCache[V any] struct {
 	// the bytes gauge and the byte budget. Called once per successful
 	// build.
 	sizeOf func(V) int64
-	// buildCtx, when non-nil, supplies the context detached builds run
-	// under (the engine's base context; Engine.Close cancels it).
-	buildCtx func() context.Context
 	// budget, when non-nil, is the shared byte budget this cache charges
 	// successful builds against. Lock order: budget.mu strictly before
 	// any member cache's mu.
@@ -134,11 +131,7 @@ func (sc *onceCache[V]) get(ctx context.Context, key string, build func() (V, er
 		if freed > 0 && sc.budget != nil {
 			sc.budget.release(freed)
 		}
-		bctx := context.Background()
-		if sc.buildCtx != nil {
-			bctx = sc.buildCtx()
-		}
-		go sc.runBuild(bctx, entry, build)
+		go sc.runBuild(entry, build)
 	}
 
 	select {
@@ -155,12 +148,10 @@ func (sc *onceCache[V]) get(ctx context.Context, key string, build func() (V, er
 // runBuild executes one detached build and completes the entry:
 // publish the value (or error), close done, then settle the
 // bookkeeping — failed builds leave the map; successful ones are priced
-// and charged against the byte budget (which may evict to fit).
-//
-// bctx is accepted for symmetry with future ctx-aware builders; today
-// the build closures capture the engine's base context themselves.
-func (sc *onceCache[V]) runBuild(bctx context.Context, entry *cacheEntry[V], build func() (V, error)) {
-	_ = bctx
+// and charged against the byte budget (which may evict to fit). The
+// build closures capture the engine's base context themselves, so
+// Engine.Close aborts them.
+func (sc *onceCache[V]) runBuild(entry *cacheEntry[V], build func() (V, error)) {
 	v, err := build()
 	entry.v, entry.err = v, err
 	var size int64

@@ -30,12 +30,6 @@ type Options struct {
 	Workers int
 	// CacheSize bounds the compiled-schedule LRU (0 = 64 entries).
 	CacheSize int
-	// SweepWidth forces the bit-parallel sweeps' block width, in
-	// 64-source lane words (1, 2, 4 or 8; 512 sources per contact pass
-	// at 8). 0 — the default — selects the width automatically per sweep
-	// from the node count, the worker fan-out and the dense-grid budget.
-	// Results are bit-identical at every width; only speed changes.
-	SweepWidth int
 	// Obs, when non-nil, registers the engine's telemetry on the given
 	// registry (cache hit/miss/eviction/byte series, worker-pool
 	// occupancy and task durations, cold-build durations, sweep stats —
@@ -43,8 +37,8 @@ type Options struct {
 	// registration only exposes them.
 	Obs *obs.Registry
 	// MaxCacheBytes, when positive, bounds the TOTAL priced bytes held
-	// across the engine's three caches (schedules, metric rows, spectrum
-	// ladders) with globally-LRU eviction, and enables the admission
+	// across the engine's three caches (schedules, ladder rows,
+	// checkpoints) with globally-LRU eviction, and enables the admission
 	// check: Metrics/Spectrum requests whose predicted O(N²·K) arrival-
 	// matrix footprint alone exceeds the budget fail fast with
 	// ErrTooLarge. 0 disables both (entry-count capacity still applies).
@@ -64,17 +58,12 @@ type Options struct {
 // share the contact-set cache and the flood-scratch pool and nothing
 // else.
 type Engine struct {
-	workers    int
-	sweepWidth int
-	cache      *scheduleCache
-	// metrics caches the all-pairs metric rows per (spec, seed, t0,
-	// mode): a hot single-mode /metrics spec costs one map hit after
-	// the first computation.
-	metrics *onceCache[*ModeMetrics]
+	workers int
+	cache   *scheduleCache
 	// spectra caches the per-rung metric rows of a whole waiting-budget
 	// ladder per (spec, seed, t0, ladder) — one entry for K rungs,
-	// computed by one wait-spectrum sweep. Multi-mode Metrics requests
-	// and the Spectrum API both land here.
+	// computed by one sweep. Every generated-graph Metrics and Spectrum
+	// request lands here; a single mode is a one-rung ladder.
 	spectra *onceCache[[]*ModeMetrics]
 	// scratch pools dtn flood state across worker tasks: a worker rents
 	// one Scratch per task, so a run with W workers keeps at most W live
@@ -88,7 +77,7 @@ type Engine struct {
 
 	// streams is the live contact-stream registry (CreateStream /
 	// AppendStream); checkpoints caches one resumable sweep per
-	// (stream, t0, mode-or-ladder) and advances it in place as the
+	// (stream, t0, ladder) and advances it in place as the
 	// stream grows, instead of re-sweeping cold per revision. See
 	// stream.go and DESIGN.md §11.
 	streamsMu   sync.Mutex
@@ -134,13 +123,11 @@ func New(opts Options) *Engine {
 		cacheSize = 64
 	}
 	e := &Engine{
-		workers:    workers,
-		sweepWidth: opts.SweepWidth,
-		cache:      newScheduleCache(cacheSize),
-		// Metric rows are tiny next to compiled schedules; keep several
-		// modes' worth per cached schedule, and a couple of whole
-		// ladders (a spectrum entry holds all its rungs).
-		metrics: newOnceCache[*ModeMetrics](8 * cacheSize),
+		workers: workers,
+		cache:   newScheduleCache(cacheSize),
+		// Metric rows are tiny next to compiled schedules; keep a couple
+		// of whole ladders per cached schedule (an entry holds all its
+		// rungs).
 		spectra: newOnceCache[[]*ModeMetrics](2 * cacheSize),
 		// Checkpoint entries pin whole sweep scratches; cap them like the
 		// schedule cache rather than the cheap row caches.
@@ -149,7 +136,6 @@ func New(opts Options) *Engine {
 		taskDur:     obs.NewHistogram(obs.LatencyBuckets()...),
 		buildDur:    obs.NewHistogram(obs.LatencyBuckets()...),
 	}
-	e.metrics.sizeOf = modeMetricsBytes
 	e.spectra.sizeOf = func(rows []*ModeMetrics) int64 {
 		var total int64
 		for _, mm := range rows {
@@ -158,14 +144,10 @@ func New(opts Options) *Engine {
 		return total
 	}
 	e.baseCtx, e.cancel = context.WithCancel(context.Background())
-	e.cache.buildCtx = func() context.Context { return e.baseCtx }
-	e.metrics.buildCtx = e.cache.buildCtx
-	e.spectra.buildCtx = e.cache.buildCtx
 	if opts.MaxCacheBytes > 0 {
 		e.maxBytes = opts.MaxCacheBytes
-		e.budget = newByteBudget(opts.MaxCacheBytes, e.cache, e.metrics, e.spectra, e.checkpoints)
+		e.budget = newByteBudget(opts.MaxCacheBytes, e.cache, e.spectra, e.checkpoints)
 		e.cache.budget = e.budget
-		e.metrics.budget = e.budget
 		e.spectra.budget = e.budget
 		e.checkpoints.budget = e.budget
 	}
@@ -196,7 +178,7 @@ func (e *Engine) CacheBytes() int64 {
 	if e.budget != nil {
 		return e.budget.used()
 	}
-	return e.cache.bytes() + e.metrics.bytes() + e.spectra.bytes() + e.checkpoints.bytes()
+	return e.cache.bytes() + e.spectra.bytes() + e.checkpoints.bytes()
 }
 
 // admitFootprint is the byte-budget admission check: it rejects a
@@ -268,12 +250,6 @@ func (e *Engine) contactSet(ctx context.Context, g GraphSpec, seed int64) (*tvg.
 		traceFrom(ctx).record(hit)
 	}
 	return c, err
-}
-
-// Compiled is the pre-CSR name of ContactSet, kept for callers of the
-// historical API.
-func (e *Engine) Compiled(g GraphSpec, seed int64) (*tvg.Compiled, error) {
-	return e.ContactSet(g, seed)
 }
 
 // Run executes the scenario and aggregates a Report. The run is

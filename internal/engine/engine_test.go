@@ -211,11 +211,11 @@ func TestScheduleCache(t *testing.T) {
 	if got := e.cache.len(); got != 1 {
 		t.Errorf("cache holds %d entries, want 1", got)
 	}
-	c1, err := e.Compiled(spec.Graph, spec.Seed)
+	c1, err := e.ContactSet(spec.Graph, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := e.Compiled(spec.Graph, spec.Seed)
+	c2, err := e.ContactSet(spec.Graph, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestScheduleCache(t *testing.T) {
 	}
 	// Distinct seeds evict the oldest entry beyond capacity.
 	for seed := int64(10); seed < 13; seed++ {
-		if _, err := e.Compiled(spec.Graph, seed); err != nil {
+		if _, err := e.ContactSet(spec.Graph, seed); err != nil {
 			t.Fatal(err)
 		}
 	}

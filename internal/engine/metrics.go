@@ -2,12 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
-	"tvgwait/internal/faultinject"
 	"tvgwait/internal/journey"
-	"tvgwait/internal/obs"
 	"tvgwait/internal/tvg"
 )
 
@@ -73,123 +70,36 @@ type MetricsReport struct {
 // carry, so a million-tick diameter cannot balloon a JSON response.
 const maxEccHistogram = 4096
 
-// Metrics resolves a metrics request against the (cached) compiled
-// schedule of the request's graph. Each mode row is computed by one
-// bit-parallel all-pairs sweep (O(⌈N/64⌉ · contacts) contact visits
-// rather than N² Foremost searches) whose 64-source blocks fan out
-// across the engine's worker width — blocks are independent and write
-// disjoint matrix rows, so the row is bit-identical at any width — and
-// cached per (spec, seed, t0, mode), so a hot spec costs one LRU hit
-// per mode. Cancellation is honoured between modes.
+// Metrics resolves a metrics request as one ladder query (see
+// ladderRows): every requested mode is a rung of the normalized ladder,
+// so the whole request costs one bit-parallel all-pairs sweep
+// (O(⌈N/64⌉ · contacts) contact visits rather than N² Foremost
+// searches) and one cache entry — a single mode is a one-rung ladder
+// and shares its entry with the equivalent Spectrum request. Rows come
+// back in request order, each labelled in the request's form.
 func (e *Engine) Metrics(ctx context.Context, req MetricsRequest) (*MetricsReport, error) {
 	if len(req.Modes) == 0 {
 		req.Modes = []string{"nowait", "wait"}
 	}
-	modes, err := ParseModes(req.Modes)
+	q, err := e.ladderRows(ctx, req.Graph, req.Seed, req.T0, req.Modes)
 	if err != nil {
 		return nil, err
 	}
-	if len(modes) > maxModes {
-		return nil, specErr("at most %d modes, got %d", maxModes, len(modes))
+	report := &MetricsReport{
+		Model: req.Graph.Model, Nodes: q.c.Graph().NumNodes(), Horizon: q.c.Horizon(),
+		Seed: req.Seed, T0: req.T0, Contacts: q.c.NumContacts(),
 	}
-	if err := req.Graph.validate(); err != nil {
-		return nil, err
-	}
-	if req.Graph.Model == "stream" {
-		// Live streams answer through the incremental checkpoint cache
-		// (suffix replay per revision) instead of the per-spec row caches.
-		return e.streamMetrics(ctx, req, modes)
-	}
-	if req.T0 < 0 || req.T0 > req.Graph.Horizon {
-		return nil, specErr("t0 %d outside [0, %d]", req.T0, req.Graph.Horizon)
-	}
-	if len(modes) > 1 {
-		// Multi-mode requests ride the wait-spectrum sweep: one contact
-		// pass computes every rung, and one spectra LRU entry replaces
-		// the len(modes) per-mode entries. Rows are byte-identical to
-		// the per-mode path (same metricsFromMatrix over bit-identical
-		// matrices); only the Mode label follows the request's form.
-		// The ladder is normalized BEFORE the contact set is built so
-		// the admission check prices the exact rung count.
-		ladder, err := journey.NewLadder(modes...)
-		if err != nil {
-			return nil, specErr("%v", err)
-		}
-		if err := e.admitFootprint(req.Graph.Nodes, ladder.Len()); err != nil {
-			return nil, err
-		}
-		c, err := e.contactSet(ctx, req.Graph, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, err := e.spectrumRows(ctx, c, req.Graph, req.Seed, req.T0, ladder)
-		if err != nil {
-			return nil, err
-		}
-		report := newMetricsReport(req, c)
-		for _, mode := range modes {
-			i, _ := ladder.RungOf(mode)
-			row := *rows[i]
-			row.Mode = mode.String()
-			report.Modes = append(report.Modes, row)
-		}
-		return report, nil
-	}
-	if err := e.admitFootprint(req.Graph.Nodes, 1); err != nil {
-		return nil, err
-	}
-	c, err := e.contactSet(ctx, req.Graph, req.Seed)
-	if err != nil {
-		return nil, err
-	}
-	report := newMetricsReport(req, c)
-	for _, mode := range modes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mode := mode
-		key := fmt.Sprintf("%s|t0%d|%s", req.Graph.key(req.Seed), req.T0, mode)
-		mm, hit, err := e.metrics.get(ctx, key, func() (*ModeMetrics, error) {
-			if err := e.fault.Fire(faultinject.SiteSweep); err != nil {
-				return nil, err
-			}
-			m, err := journey.AllForemostCtx(e.baseCtx, c, mode, req.T0, e.workers, e.sweepWidth, &e.sweeps)
-			if err != nil {
-				return nil, err
-			}
-			return metricsFromMatrix(mode, m), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		traceFrom(ctx).record(hit)
-		report.Modes = append(report.Modes, *mm)
+	for _, mode := range q.modes {
+		i, _ := q.ladder.RungOf(mode)
+		row := *q.rows[i]
+		row.Mode = mode.String()
+		report.Modes = append(report.Modes, row)
 	}
 	return report, nil
 }
 
-// newMetricsReport fills the header fields shared by both Metrics paths.
-func newMetricsReport(req MetricsRequest, c *tvg.ContactSet) *MetricsReport {
-	return &MetricsReport{
-		Model: req.Graph.Model, Nodes: c.Graph().NumNodes(), Horizon: c.Horizon(),
-		Seed: req.Seed, T0: req.T0, Contacts: c.NumContacts(),
-	}
-}
-
-// computeModeMetrics derives one mode's row from the all-pairs foremost
-// matrix, sweeping its source blocks (64·width sources each; width 0 =
-// auto) across up to `workers` goroutines and folding the sweep's
-// telemetry into st (nil is free).
-func computeModeMetrics(c *tvg.ContactSet, mode journey.Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) *ModeMetrics {
-	return metricsFromMatrix(mode, journey.AllForemostStats(c, mode, t0, workers, width, st))
-}
-
-// metricsFromMatrix summarizes one foremost-arrival matrix into a mode
-// row — shared by the per-mode path (AllForemost) and the spectrum path
-// (WaitSpectrum rungs), so both produce byte-identical rows.
+// metricsFromMatrix summarizes one rung's foremost-arrival matrix into
+// a metrics row.
 func metricsFromMatrix(mode journey.Mode, m *journey.ArrivalMatrix) *ModeMetrics {
 	n := m.NumNodes()
 	mm := &ModeMetrics{

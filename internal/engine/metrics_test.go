@@ -49,8 +49,15 @@ func TestMetricsMatchesJourney(t *testing.T) {
 		if !ok && mm.Diameter != -1 {
 			t.Errorf("%s: unconnected diameter = %d, want -1", mm.Mode, mm.Diameter)
 		}
-		am := journey.AllForemost(c, mode, 0)
-		if got := am.ReachablePairs(); got != mm.ReachablePairs {
+		ladder, err := journey.NewLadder(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := journey.Sweep(context.Background(), c, ladder, 0, journey.SweepOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Arrivals(0).ReachablePairs(); got != mm.ReachablePairs {
 			t.Errorf("%s: reachable pairs = %d, journey says %d", mm.Mode, mm.ReachablePairs, got)
 		}
 		if mm.TotalPairs != 14*14 {
@@ -102,55 +109,74 @@ func TestMetricsWaitDominatesNoWait(t *testing.T) {
 	}
 }
 
-// TestMetricsCaching: a repeated single-mode request must hit the
-// per-mode metrics LRU (keyed by seed, t0 and mode), while a multi-mode
-// request rides the spectrum path and pins ONE spectra entry for the
-// whole ladder instead of one metrics entry per mode.
+// TestMetricsCaching: every generated-graph Metrics request is one
+// ladder query on the spectra LRU, keyed by (spec, seed, t0, normalized
+// ladder). A repeat hits, a new t0 or seed misses, a multi-mode request
+// pins ONE entry for its whole ladder, and a single-mode request shares
+// its entry with the equivalent one-rung Spectrum request.
 func TestMetricsCaching(t *testing.T) {
 	e := New(Options{})
+	ctx := context.Background()
 	req := MetricsRequest{Graph: metricsGraph(), Seed: 1, Modes: []string{"wait"}}
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.metrics.len(); got != 1 {
-		t.Fatalf("after first request cache holds %d rows, want 1", got)
+	if got := e.spectra.len(); got != 1 {
+		t.Fatalf("after first request cache holds %d entries, want 1", got)
 	}
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.metrics.len(); got != 1 {
-		t.Fatalf("repeat request grew the cache to %d rows", got)
+	if got := e.spectra.len(); got != 1 {
+		t.Fatalf("repeat request grew the cache to %d entries", got)
 	}
 	req.T0 = 3
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	req.Seed = 2
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.metrics.len(); got != 3 {
-		t.Fatalf("cache holds %d rows, want 3 (wait@t0=0, wait@t0=3, seed2)", got)
+	if got := e.spectra.len(); got != 3 {
+		t.Fatalf("cache holds %d entries, want 3 (wait@t0=0, wait@t0=3, seed2)", got)
 	}
-	// Multi-mode: one spectra entry for the ladder, no new per-mode rows.
+	// The one-rung spectrum of the same (spec, seed, t0) is the same
+	// query: a warm hit on the single-mode entry, with the same row.
+	mrep, err := e.Metrics(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tctx, tr := WithCacheTrace(ctx)
+	srep, err := e.Spectrum(tctx, SpectrumRequest{Graph: req.Graph, Seed: req.Seed, T0: req.T0, Modes: []string{"wait"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Warm() {
+		t.Fatalf("one-rung spectrum missed the single-mode entry: hits=%d misses=%d", tr.Hits(), tr.Misses())
+	}
+	if got := e.spectra.len(); got != 3 {
+		t.Fatalf("one-rung spectrum added an entry (%d total)", got)
+	}
+	if !reflect.DeepEqual(srep.Rungs, mrep.Modes) {
+		t.Fatalf("one-rung spectrum rows %+v differ from single-mode metrics %+v", srep.Rungs, mrep.Modes)
+	}
+	// Multi-mode: one entry for the whole ladder.
 	req.Modes = []string{"wait", "nowait"}
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.metrics.len(); got != 3 {
-		t.Fatalf("multi-mode request grew the per-mode cache to %d rows", got)
-	}
-	if got := e.spectra.len(); got != 1 {
-		t.Fatalf("multi-mode request left %d spectra entries, want 1", got)
+	if got := e.spectra.len(); got != 4 {
+		t.Fatalf("multi-mode request left %d entries, want 4 (one new for the ladder)", got)
 	}
 	// A repeat — and a reordered duplicate-bearing ladder normalizing to
 	// the same rungs — hits the same entry.
 	req.Modes = []string{"nowait", "wait", "wait:0"}
-	if _, err := e.Metrics(context.Background(), req); err != nil {
+	if _, err := e.Metrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.spectra.len(); got != 1 {
-		t.Fatalf("normalized-equal ladder added a spectra entry (%d total)", got)
+	if got := e.spectra.len(); got != 4 {
+		t.Fatalf("normalized-equal ladder added an entry (%d total)", got)
 	}
 }
 
@@ -170,8 +196,8 @@ func TestMetricsValidation(t *testing.T) {
 	}
 }
 
-// TestMetricsHonoursCancellation: a cancelled context aborts between
-// modes.
+// TestMetricsHonoursCancellation: a cancelled context aborts before
+// any sweep.
 func TestMetricsHonoursCancellation(t *testing.T) {
 	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -71,12 +71,10 @@ func (e *Engine) wireObs(r *obs.Registry) {
 		bytes                              func() int64
 	}{
 		{"schedule", nil, nil, nil, nil, e.cache.len, e.cache.bytes},
-		{"metrics", nil, nil, nil, nil, e.metrics.len, e.metrics.bytes},
 		{"spectra", nil, nil, nil, nil, e.spectra.len, e.spectra.bytes},
 	}
 	caches[0].hits, caches[0].misses, caches[0].coalesced, caches[0].evictions = e.cache.counters()
-	caches[1].hits, caches[1].misses, caches[1].coalesced, caches[1].evictions = e.metrics.counters()
-	caches[2].hits, caches[2].misses, caches[2].coalesced, caches[2].evictions = e.spectra.counters()
+	caches[1].hits, caches[1].misses, caches[1].coalesced, caches[1].evictions = e.spectra.counters()
 	for _, cv := range caches {
 		lbl := `cache="` + cv.name + `"`
 		r.RegisterCounter("tvg_engine_cache_hits_total", lbl,

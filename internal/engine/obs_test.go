@@ -89,7 +89,7 @@ func TestEngineObsWiring(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`tvg_engine_cache_hits_total{cache="schedule"}`,
-		`tvg_engine_cache_misses_total{cache="metrics"}`,
+		`tvg_engine_cache_misses_total{cache="spectra"}`,
 		`tvg_engine_cache_evictions_total{cache="spectra"}`,
 		`tvg_engine_cache_entries{cache="schedule"}`,
 		`tvg_engine_cache_bytes{cache="schedule"}`,
@@ -102,6 +102,10 @@ func TestEngineObsWiring(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteProm output missing %q", want)
 		}
+	}
+	// Single-mode metrics share the spectra cache: no per-mode series.
+	if strings.Contains(out, `cache="metrics"`) {
+		t.Error(`WriteProm output still carries cache="metrics" series`)
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestSpectrumMatchesMetrics pins the spectrum rows to the per-mode
-// metrics path: for the same (spec, seed, t0) every rung row must be
-// byte-identical to the row a single-mode Metrics request computes via
-// AllForemost (only the ladder is normalized, so rows come back sorted
-// and deduplicated).
+// TestSpectrumMatchesMetrics pins the spectrum rows (the ladder kernel)
+// to single-mode metrics (a one-rung ladder, the single-mode kernel):
+// for the same (spec, seed, t0) every rung row must be byte-identical
+// to the row a single-mode Metrics request computes on a fresh engine
+// (only the ladder is normalized, so rows come back sorted and
+// deduplicated).
 func TestSpectrumMatchesMetrics(t *testing.T) {
 	req := SpectrumRequest{
 		Graph: metricsGraph(), Seed: 5,
@@ -29,7 +30,7 @@ func TestSpectrumMatchesMetrics(t *testing.T) {
 		if rung.Mode != wantRungs[i] {
 			t.Fatalf("rung %d is %q, want %q", i, rung.Mode, wantRungs[i])
 		}
-		// Fresh engine: the per-mode path must agree row for row.
+		// Fresh engine: the one-rung query must agree row for row.
 		single, err := New(Options{}).Metrics(context.Background(), MetricsRequest{
 			Graph: req.Graph, Seed: req.Seed, Modes: []string{rung.Mode},
 		})
@@ -37,7 +38,7 @@ func TestSpectrumMatchesMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(single.Modes[0], rung) {
-			t.Fatalf("rung %s differs from per-mode Metrics:\n got %+v\nwant %+v",
+			t.Fatalf("rung %s differs from single-mode Metrics:\n got %+v\nwant %+v",
 				rung.Mode, rung, single.Modes[0])
 		}
 	}
@@ -109,10 +110,6 @@ func TestSpectrumCaching(t *testing.T) {
 	}
 	if got := e.spectra.len(); got != 3 {
 		t.Fatalf("spectra holds %d entries, want 3 (base, seed2, t0=5)", got)
-	}
-	// The per-mode metrics cache stays untouched.
-	if got := e.metrics.len(); got != 0 {
-		t.Fatalf("spectrum requests populated the per-mode cache (%d rows)", got)
 	}
 }
 

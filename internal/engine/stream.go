@@ -5,7 +5,7 @@ package engine
 // the engine keeps answering Metrics and Spectrum requests against its
 // current revision. The expensive part — the all-pairs bit-parallel
 // sweep — is NOT recomputed per revision: the engine caches one
-// journey.SweepCheckpoint per (stream, t0, mode|ladder) and advances it
+// journey.SweepCheckpoint per (stream, t0, ladder) and advances it
 // in place, replaying only the appended suffix window (see
 // internal/journey/checkpoint.go). Incremental advances and cold builds
 // are counted separately (tvg_engine_checkpoint_advances_total vs
@@ -354,134 +354,24 @@ func (e *Engine) streamSet(name string) (*tvg.ContactSet, error) {
 	return c, nil
 }
 
-// streamMetrics is the Metrics path for "stream" specs: every mode row
-// is served from the checkpoint cache — advanced incrementally when the
-// stream grew, re-extracted for free when it did not.
-func (e *Engine) streamMetrics(ctx context.Context, req MetricsRequest, modes []journey.Mode) (*MetricsReport, error) {
-	c, err := e.streamSet(req.Graph.Stream)
-	if err != nil {
-		return nil, err
-	}
-	if req.T0 < 0 || req.T0 > c.Horizon() {
-		return nil, specErr("t0 %d outside [0, %d]", req.T0, c.Horizon())
-	}
-	n := c.Graph().NumNodes()
-	report := &MetricsReport{
-		Model: req.Graph.Model, Nodes: n, Horizon: c.Horizon(),
-		Seed: req.Seed, T0: req.T0, Contacts: c.NumContacts(),
-	}
-	if len(modes) > 1 {
-		ladder, err := journey.NewLadder(modes...)
-		if err != nil {
-			return nil, specErr("%v", err)
-		}
-		if err := e.admitFootprint(n, ladder.Len()); err != nil {
-			return nil, err
-		}
-		rows, err := e.streamSpectrumRows(ctx, req.Graph.Stream, c, req.T0, ladder)
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range modes {
-			i, _ := ladder.RungOf(mode)
-			row := *rows[i]
-			row.Mode = mode.String()
-			report.Modes = append(report.Modes, row)
-		}
-		return report, nil
-	}
-	if err := e.admitFootprint(n, 1); err != nil {
-		return nil, err
-	}
-	row, err := e.streamModeRow(ctx, req.Graph.Stream, c, req.T0, modes[0])
-	if err != nil {
-		return nil, err
-	}
-	report.Modes = append(report.Modes, *row)
-	return report, nil
-}
-
-// streamSpectrum is the Spectrum path for "stream" specs.
-func (e *Engine) streamSpectrum(ctx context.Context, req SpectrumRequest, modes []journey.Mode) (*SpectrumReport, error) {
-	c, err := e.streamSet(req.Graph.Stream)
-	if err != nil {
-		return nil, err
-	}
-	if req.T0 < 0 || req.T0 > c.Horizon() {
-		return nil, specErr("t0 %d outside [0, %d]", req.T0, c.Horizon())
-	}
-	ladder, err := journey.NewLadder(modes...)
-	if err != nil {
-		return nil, specErr("%v", err)
-	}
-	n := c.Graph().NumNodes()
-	if err := e.admitFootprint(n, ladder.Len()); err != nil {
-		return nil, err
-	}
-	rows, err := e.streamSpectrumRows(ctx, req.Graph.Stream, c, req.T0, ladder)
-	if err != nil {
-		return nil, err
-	}
-	report := &SpectrumReport{
-		Model: req.Graph.Model, Nodes: n, Horizon: c.Horizon(),
-		Seed: req.Seed, T0: req.T0, Contacts: c.NumContacts(),
-		Rungs: make([]ModeMetrics, len(rows)),
-	}
-	for i, row := range rows {
-		report.Rungs[i] = *row
-		if report.FirstConnected == "" && row.Connected {
-			report.FirstConnected = row.Mode
-		}
-	}
-	return report, nil
-}
-
-// streamModeRow returns one mode's metrics row for the stream revision
-// c, via the checkpoint cache (see ckCache).
-func (e *Engine) streamModeRow(ctx context.Context, name string, c *tvg.ContactSet, t0 tvg.Time, mode journey.Mode) (*ModeMetrics, error) {
-	key := fmt.Sprintf("stream:%s|t0%d|%s", name, t0, mode)
-	rows, err := e.withCkEntry(ctx, key, c, func(entry *ckEntry) ([]*ModeMetrics, error) {
-		var m *journey.ArrivalMatrix
-		var err error
-		if entry.ck != nil {
-			m, err = entry.ck.AllForemost(c, e.workers, &e.sweeps)
-		}
-		if entry.ck == nil || staleCheckpoint(err) {
-			entry.ck = nil // drop the unusable checkpoint before rebuilding
-			var ck *journey.SweepCheckpoint
-			m, ck, err = journey.AllForemostCheckpointed(c, mode, t0, e.workers, e.sweepWidth, &e.sweeps)
-			if err != nil {
-				return nil, err
-			}
-			entry.ck = ck
-			e.checkpoints.cold.Inc()
-		} else if err != nil {
-			return nil, err
-		} else {
-			e.checkpoints.advances.Inc()
-		}
-		return []*ModeMetrics{metricsFromMatrix(mode, m)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // streamSpectrumRows returns the whole ladder's rows for the stream
-// revision c, via one checkpointed wait-spectrum sweep.
+// revision c, via one checkpointed ladder sweep: advanced incrementally
+// when the stream grew, re-extracted for free when it did not. The
+// sweep runs uncancellable (context.Background): it mutates a
+// checkpoint every later reader of the entry shares, and an abort
+// mid-replay would poison it into a cold rebuild.
 func (e *Engine) streamSpectrumRows(ctx context.Context, name string, c *tvg.ContactSet, t0 tvg.Time, ladder journey.Ladder) ([]*ModeMetrics, error) {
 	key := fmt.Sprintf("stream:%s|t0%d|ladder:%s", name, t0, ladder)
 	return e.withCkEntry(ctx, key, c, func(entry *ckEntry) ([]*ModeMetrics, error) {
 		var res *journey.SpectrumResult
 		var err error
 		if entry.ck != nil {
-			res, err = entry.ck.WaitSpectrum(c, e.workers, &e.sweeps)
+			res, err = entry.ck.Advance(context.Background(), c, e.workers, &e.sweeps)
 		}
 		if entry.ck == nil || staleCheckpoint(err) {
-			entry.ck = nil
+			entry.ck = nil // drop the unusable checkpoint before rebuilding
 			var ck *journey.SweepCheckpoint
-			res, ck, err = journey.WaitSpectrumCheckpointed(c, ladder, t0, e.workers, e.sweepWidth, &e.sweeps)
+			res, ck, err = journey.SweepCheckpointed(context.Background(), c, ladder, t0, journey.SweepOpts{Workers: e.workers, Stats: &e.sweeps})
 			if err != nil {
 				return nil, err
 			}
@@ -492,11 +382,7 @@ func (e *Engine) streamSpectrumRows(ctx context.Context, name string, c *tvg.Con
 		} else {
 			e.checkpoints.advances.Inc()
 		}
-		rows := make([]*ModeMetrics, res.NumRungs())
-		for i := range rows {
-			rows[i] = metricsFromMatrix(res.Mode(i), res.Arrivals(i))
-		}
-		return rows, nil
+		return rungRows(res), nil
 	})
 }
 

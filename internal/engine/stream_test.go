@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tvgwait/internal/journey"
+	"tvgwait/internal/obs"
 	"tvgwait/internal/tvg"
 )
 
@@ -84,8 +85,8 @@ func TestStreamMetricsMatchesCold(t *testing.T) {
 		}
 
 		// Cold reference: replay the same contacts into a fresh set and
-		// sweep it with library calls through a throwaway engine has no
-		// cache alignment, so compare against computeModeMetrics directly.
+		// summarize a one-rung library sweep of it per mode
+		// (computeModeMetrics), independent of every engine cache.
 		cold := rebuildCold(t, cur)
 		for _, row := range got.Modes {
 			mode, err := ParseMode(row.Mode)
@@ -351,4 +352,20 @@ func TestBuilderRetentionCap(t *testing.T) {
 	if got := e.builderDrops.Value(); got != 1 {
 		t.Fatalf("oversized builder not dropped: drops = %d", got)
 	}
+}
+
+// computeModeMetrics is the cold reference row of one mode: a one-rung
+// library sweep of c (64·width sources per block, 0 = auto, across up
+// to `workers` goroutines, telemetry into st) summarized by
+// metricsFromMatrix.
+func computeModeMetrics(c *tvg.ContactSet, mode journey.Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) *ModeMetrics {
+	ladder, err := journey.NewLadder(mode)
+	if err != nil {
+		panic(err)
+	}
+	res, err := journey.Sweep(context.Background(), c, ladder, t0, journey.SweepOpts{Workers: workers, Width: width, Stats: st})
+	if err != nil {
+		panic(err)
+	}
+	return metricsFromMatrix(mode, res.Arrivals(0))
 }

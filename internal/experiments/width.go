@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -42,6 +43,10 @@ func WidthSweep(w io.Writer, opts Options) error {
 	if opts.Width > 0 {
 		widths = []int{1, opts.Width}
 	}
+	wait, err := journey.NewLadder(journey.Wait())
+	if err != nil {
+		return err
+	}
 	for _, sc := range scenarios {
 		c, err := gen.EdgeMarkovian(gen.EdgeMarkovianParams{
 			Nodes: sc.nodes, PBirth: sc.birth, PDeath: 0.6, Horizon: 100,
@@ -63,7 +68,11 @@ func WidthSweep(w io.Writer, opts Options) error {
 			for r := 0; r < reps; r++ {
 				st = obs.SweepStats{}
 				start := time.Now()
-				m = journey.AllForemostStats(c, journey.Wait(), 0, 1, width, &st)
+				res, err := journey.Sweep(context.Background(), c, wait, 0, journey.SweepOpts{Width: width, Stats: &st})
+				if err != nil {
+					return err
+				}
+				m = res.Arrivals(0)
 				if d := time.Since(start); best == 0 || d < best {
 					best = d
 				}
@@ -92,7 +101,9 @@ func WidthSweep(w io.Writer, opts Options) error {
 			}
 		}
 		var probe obs.SweepStats
-		journey.AllForemostStats(c, journey.Wait(), 0, 1, 0, &probe)
+		if _, err := journey.Sweep(context.Background(), c, wait, 0, journey.SweepOpts{Stats: &probe}); err != nil {
+			return err
+		}
 		if err := row(fmt.Sprintf("auto(w=%d)", probe.Width.Value()), 0); err != nil {
 			return err
 		}

@@ -4,28 +4,25 @@ package journey
 // long straight-line loops over the contact stream — a large (N, K)
 // request runs for hundreds of milliseconds with no scheduling point —
 // so a caller whose deadline has passed used to keep burning the full
-// sweep. The ctx-aware entry points (AllForemostCtx,
-// ReachabilityMatrixCtx, WaitSpectrumCtx) thread a shared canceler
-// through every block of the fan-out: each block counts down work units
-// (one per contact plus one per due-bucket tick) and re-polls the
-// context every ~64K units; the poll outcome is published through one
-// atomic flag, so sibling blocks abort at their next checkpoint without
-// re-querying the context. An aborted block still runs its pending-grid
-// cleanup (the pooled scratches rely on an all-zero grid) and still
-// merges its partial telemetry — plus one Cancellations tick — into the
-// caller's obs.SweepStats, so cancelled work is accounted, not lost.
-// The legacy entry points pass a nil canceler and are bit-identical to
-// the pre-cancellation sweeps (one nil-check per tick). See DESIGN.md
-// §10 for the checkpoint contract.
+// sweep. Every sweep call (Sweep, SweepCheckpointed, Advance) threads a
+// shared canceler through every block of the fan-out: each block counts
+// down work units (one per contact plus one per due-bucket tick) and
+// re-polls the context every ~64K units; the poll outcome is published
+// through one atomic flag, so sibling blocks abort at their next
+// checkpoint without re-querying the context. An aborted block still
+// runs its pending-grid cleanup (the pooled scratches rely on an
+// all-zero grid) and still merges its partial telemetry — plus one
+// Cancellations tick — into the caller's obs.SweepStats, so cancelled
+// work is accounted, not lost.
+// A ctx that can never be cancelled (context.Background) yields a nil
+// canceler, bit-identical to an uncancellable sweep at one nil-check
+// per tick. See DESIGN.md §10 for the checkpoint contract.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"tvgwait/internal/obs"
-	"tvgwait/internal/tvg"
 )
 
 // ErrCanceled tags every sweep aborted by its context. The returned
@@ -83,49 +80,4 @@ func (cc *canceler) err() error {
 		cause = context.Canceled
 	}
 	return fmt.Errorf("%w: %w", ErrCanceled, cause)
-}
-
-// AllForemostCtx is AllForemostStats with cancellation: it aborts
-// in-flight sweep blocks within one checkpoint interval of ctx's
-// cancellation and returns an error wrapping ErrCanceled (and the ctx's
-// own error). On success the matrix is bit-identical to
-// AllForemostStats at every width and worker count.
-func AllForemostCtx(ctx context.Context, c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*ArrivalMatrix, error) {
-	cc := newCanceler(ctx)
-	if cc != nil && cc.poll() {
-		return nil, cc.err()
-	}
-	m := allForemost(c, mode, t0, workers, width, st, cc)
-	if cc.stopped() {
-		return nil, cc.err()
-	}
-	return m, nil
-}
-
-// ReachabilityMatrixCtx is ReachabilityMatrixStats with cancellation
-// (see AllForemostCtx).
-func ReachabilityMatrixCtx(ctx context.Context, c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*ReachMatrix, error) {
-	cc := newCanceler(ctx)
-	if cc != nil && cc.poll() {
-		return nil, cc.err()
-	}
-	m := reachabilityMatrix(c, mode, t0, workers, width, st, cc)
-	if cc.stopped() {
-		return nil, cc.err()
-	}
-	return m, nil
-}
-
-// WaitSpectrumCtx is WaitSpectrumStats with cancellation (see
-// AllForemostCtx): one aborted rung aborts the whole ladder's sweep.
-func WaitSpectrumCtx(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*SpectrumResult, error) {
-	cc := newCanceler(ctx)
-	if cc != nil && cc.poll() {
-		return nil, cc.err()
-	}
-	res := waitSpectrum(c, ladder, t0, workers, width, st, cc)
-	if cc.stopped() {
-		return nil, cc.err()
-	}
-	return res, nil
 }

@@ -23,29 +23,29 @@ func TestCtxPreCancelled(t *testing.T) {
 	cancel()
 	var st obs.SweepStats
 
-	if m, err := AllForemostCtx(ctx, c, Wait(), 0, 2, 0, &st); m != nil || err == nil {
-		t.Fatalf("AllForemostCtx on cancelled ctx: m=%v err=%v", m, err)
+	if res, err := Sweep(ctx, c, rungOf(t, Wait()), 0, SweepOpts{Workers: 2, Stats: &st}); res != nil || err == nil {
+		t.Fatalf("one-rung Sweep on cancelled ctx: res=%v err=%v", res, err)
 	} else if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("AllForemostCtx error %v does not wrap ErrCanceled and context.Canceled", err)
-	}
-	if st.Blocks.Value() != 0 {
-		t.Fatalf("pre-cancelled call ran %d blocks, want 0", st.Blocks.Value())
-	}
-	if m, err := ReachabilityMatrixCtx(ctx, c, NoWait(), 0, 2, 0, nil); m != nil || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ReachabilityMatrixCtx on cancelled ctx: m=%v err=%v", m, err)
+		t.Fatalf("Sweep error %v does not wrap ErrCanceled and context.Canceled", err)
 	}
 	ladder, err := NewLadder(NoWait(), Wait())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := WaitSpectrumCtx(ctx, c, ladder, 0, 2, 0, nil); res != nil || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("WaitSpectrumCtx on cancelled ctx: res=%v err=%v", res, err)
+	if res, err := Sweep(ctx, c, ladder, 0, SweepOpts{Workers: 2, Stats: &st}); res != nil || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("ladder Sweep on cancelled ctx: res=%v err=%v", res, err)
+	}
+	if res, ck, err := SweepCheckpointed(ctx, c, ladder, 0, SweepOpts{Workers: 2, Stats: &st}); res != nil || ck != nil || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("SweepCheckpointed on cancelled ctx: res=%v ck=%v err=%v", res, ck, err)
+	}
+	if st.Blocks.Value() != 0 {
+		t.Fatalf("pre-cancelled calls ran %d blocks, want 0", st.Blocks.Value())
 	}
 }
 
-// TestCtxMatchesUncancelled pins bit-identity: the ctx-aware entry
-// points with a live context produce exactly the matrices of the legacy
-// APIs (the checkpoint is bookkeeping, never arithmetic).
+// TestCtxMatchesUncancelled pins bit-identity: a sweep under a live,
+// cancellable context produces exactly the matrices of an
+// uncancellable one (the checkpoint is bookkeeping, never arithmetic).
 func TestCtxMatchesUncancelled(t *testing.T) {
 	c, err := gen.Bernoulli(70, 0.04, 60, 3, nil)
 	if err != nil {
@@ -57,17 +57,18 @@ func TestCtxMatchesUncancelled(t *testing.T) {
 	live, cancel := context.WithCancel(ctx)
 	defer cancel()
 	for _, mode := range []Mode{NoWait(), BoundedWait(3), Wait()} {
-		want := AllForemost(c, mode, 0)
+		want := foremostOf(t, c, mode, 0, SweepOpts{})
 		for _, useCtx := range []context.Context{ctx, live} {
-			got, err := AllForemostCtx(useCtx, c, mode, 0, 3, 0, nil)
+			res, err := Sweep(useCtx, c, rungOf(t, mode), 0, SweepOpts{Workers: 3})
 			if err != nil {
-				t.Fatalf("%s: AllForemostCtx: %v", mode, err)
+				t.Fatalf("%s: Sweep: %v", mode, err)
 			}
+			got := res.Arrivals(0)
 			for src := tvg.Node(0); int(src) < c.Graph().NumNodes(); src++ {
 				wr, gr := want.Row(src), got.Row(src)
 				for i := range wr {
 					if wr[i] != gr[i] {
-						t.Fatalf("%s: row %d differs at %d: ctx %d, legacy %d", mode, src, i, gr[i], wr[i])
+						t.Fatalf("%s: row %d differs at %d: live ctx %d, background %d", mode, src, i, gr[i], wr[i])
 					}
 				}
 			}
@@ -77,8 +78,8 @@ func TestCtxMatchesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := WaitSpectrum(c, ladder, 0)
-	got, err := WaitSpectrumCtx(live, c, ladder, 0, 3, 0, nil)
+	want := sweepOf(t, c, ladder, 0, SweepOpts{})
+	got, err := Sweep(live, c, ladder, 0, SweepOpts{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCtxMatchesUncancelled(t *testing.T) {
 	}
 }
 
-// slowSweepSet builds a contact set whose uncancelled AllForemost takes
+// slowSweepSet builds a contact set whose uncancelled wait sweep takes
 // at least minDur, scaling up until it does, and returns the measured
 // full-sweep duration. The network is a directed path with every edge
 // present at every tick: no source reaches the nodes behind it, so the
@@ -121,7 +122,7 @@ func slowSweepSet(t *testing.T, minDur time.Duration) (*tvg.ContactSet, time.Dur
 			t.Fatal(err)
 		}
 		start := time.Now()
-		AllForemost(c, Wait(), 0)
+		foremostOf(t, c, Wait(), 0, SweepOpts{})
 		if dur := time.Since(start); dur >= minDur {
 			return c, dur
 		}
@@ -145,7 +146,7 @@ func TestCancelAbortsMidSweep(t *testing.T) {
 	done := make(chan error, 1)
 	started := time.Now()
 	go func() {
-		_, err := AllForemostCtx(ctx, c, Wait(), 0, 1, 0, &st)
+		_, err := Sweep(ctx, c, rungOf(t, Wait()), 0, SweepOpts{Workers: 1, Stats: &st})
 		done <- err
 	}()
 	time.Sleep(fullDur / 10) // let the sweep get well into its contact loop
@@ -180,20 +181,18 @@ func TestSweepAfterAbortIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AllForemost(c, Wait(), 0)
+	wait := rungOf(t, Wait())
+	want := foremostOf(t, c, Wait(), 0, SweepOpts{})
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		AllForemostCtx(ctx, c, Wait(), 0, 2, 0, nil) //nolint:errcheck // abort on purpose
+		Sweep(ctx, c, wait, 0, SweepOpts{Workers: 2}) //nolint:errcheck // abort on purpose
 		// Also abort mid-flight with a short deadline.
 		dctx, dcancel := context.WithTimeout(context.Background(), time.Microsecond)
-		AllForemostCtx(dctx, c, Wait(), 0, 2, 0, nil) //nolint:errcheck
+		Sweep(dctx, c, wait, 0, SweepOpts{Workers: 2}) //nolint:errcheck
 		dcancel()
 
-		got, err := AllForemostCtx(context.Background(), c, Wait(), 0, 2, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := foremostOf(t, c, Wait(), 0, SweepOpts{Workers: 2})
 		for src := tvg.Node(0); int(src) < 90; src++ {
 			wr, gr := want.Row(src), got.Row(src)
 			for j := range wr {

@@ -31,8 +31,6 @@ package journey
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"tvgwait/internal/obs"
 	"tvgwait/internal/tvg"
@@ -48,32 +46,19 @@ var ErrCheckpointPoisoned = errors.New("journey: checkpoint poisoned by an abort
 // its own lineage.
 var ErrNotExtension = errors.New("journey: contact set does not extend the checkpointed revision")
 
-// ckKind discriminates what a SweepCheckpoint holds.
-type ckKind uint8
-
-const (
-	ckForemost ckKind = iota + 1
-	ckReach
-	ckSpectrum
-)
-
-// SweepCheckpoint is the resumable state of one all-pairs sweep —
-// AllForemostCheckpointed, ReachabilityMatrixCheckpointed or
-// WaitSpectrumCheckpointed — over a live-filled contact stream. See the
-// file comment for the contract.
+// SweepCheckpoint is the resumable state of one all-pairs ladder sweep
+// (SweepCheckpointed) over a live-filled contact stream: one dedicated
+// block state per source block, on the kernel the ladder selects. See
+// the file comment for the contract.
 type SweepCheckpoint struct {
-	kind     ckKind
-	mode     Mode   // foremost / reach
-	ladder   Ladder // spectrum
+	ladder   Ladder
 	t0       tvg.Time
 	width    int // resolved lane width, pinned across resumes
 	n        int
 	set      *tvg.ContactSet // revision last swept
 	doneTick tvg.Time        // last processed tick (t0-1 before any contact)
 	poisoned bool
-
-	ms []*msScratch // per source block (foremost / reach)
-	sp []*spScratch // per source block (spectrum)
+	blocks   []blockSweep
 }
 
 // DoneTick returns the last tick the checkpoint has processed (t0-1
@@ -97,13 +82,8 @@ func (ck *SweepCheckpoint) Poisoned() bool { return ck.poisoned }
 // done): further appends cannot change the result and a resume reduces
 // to re-extraction.
 func (ck *SweepCheckpoint) Complete() bool {
-	for _, s := range ck.ms {
-		if s.span > 0 && s.active > 0 {
-			return false
-		}
-	}
-	for _, s := range ck.sp {
-		if s.span > 0 && s.topActive > 0 {
+	for _, s := range ck.blocks {
+		if !s.retired() {
 			return false
 		}
 	}
@@ -114,10 +94,7 @@ func (ck *SweepCheckpoint) Complete() bool {
 // scratch arenas dominate. Used by the engine's cache byte budget.
 func (ck *SweepCheckpoint) SizeBytes() int64 {
 	b := int64(256)
-	for _, s := range ck.ms {
-		b += s.retainedBytes()
-	}
-	for _, s := range ck.sp {
+	for _, s := range ck.blocks {
 		b += s.retainedBytes()
 	}
 	return b
@@ -136,276 +113,93 @@ func ckUpTo(c *tvg.ContactSet, t0 tvg.Time) tvg.Time {
 	return up
 }
 
-// ckFanOut runs fn(i) for the nBlocks sweep blocks across up to
-// `workers` goroutines. Blocks are independent (each owns its scratch
-// and writes a disjoint result region), so results are bit-identical at
-// any worker count.
-func ckFanOut(nBlocks, workers int, fn func(i int)) {
-	if workers > nBlocks {
-		workers = nBlocks
+// SweepCheckpointed computes Sweep(ctx, c, ladder, t0, o) — the same
+// result bit for bit — and additionally returns a checkpoint that
+// Advance resumes after the stream is extended. The lane width resolved
+// here is pinned for every resume. The cold pass runs each block up to
+// the stream's watermark on its own dedicated scratch; a cancelled ctx
+// discards it whole (there is nothing to poison). The ladder must not
+// be empty.
+func SweepCheckpointed(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, o SweepOpts) (*SpectrumResult, *SweepCheckpoint, error) {
+	if ladder.Len() == 0 {
+		return nil, nil, errEmptyLadder
 	}
-	if workers <= 1 {
-		for i := 0; i < nBlocks; i++ {
-			fn(i)
-		}
-		return
+	cc := newCanceler(ctx)
+	if cc != nil && cc.poll() {
+		return nil, nil, cc.err()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nBlocks {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// newCheckpoint allocates the shell and runs the cold pass up to the
-// stream's watermark: begin + run(t0, watermark) per block, each block
-// on its own dedicated scratch. spectrum selects the spScratch engine,
-// everything else msScratch (arrivals for foremost, reached-only for
-// reach).
-func newCheckpoint(kind ckKind, c *tvg.ContactSet, mode Mode, ladder Ladder, t0 tvg.Time, workers, width int, st *obs.SweepStats, cc *canceler) (*SweepCheckpoint, error) {
 	n := c.Graph().NumNodes()
-	rungs := 1
-	if kind == ckSpectrum {
-		rungs = ladder.Len()
-	}
-	w := normWidth(width, n, spanOf(c, t0), rungs, workers)
-	if st != nil {
-		st.Width.Set(int64(w))
-	}
+	w := o.width(c, t0, ladder.Len())
 	ck := &SweepCheckpoint{
-		kind: kind, mode: mode, ladder: ladder,
-		t0: t0, width: w, n: n, set: c, doneTick: ckUpTo(c, t0),
+		ladder: ladder, t0: t0, width: w, n: n, set: c, doneTick: ckUpTo(c, t0),
+		blocks: make([]blockSweep, (n+w*blockBits-1)/(w*blockBits)),
 	}
-	step := w * blockBits
-	nBlocks := 0
-	if n > 0 {
-		nBlocks = (n + step - 1) / step
-	}
-	if kind == ckSpectrum {
-		ck.sp = make([]*spScratch, nBlocks)
-	} else {
-		ck.ms = make([]*msScratch, nBlocks)
-	}
-	ckFanOut(nBlocks, workers, func(i int) {
-		base := i * step
-		cnt := min(step, n-base)
+	k := kernelFor(ladder)
+	windowed := spanOf(c, t0) > 0
+	blockFanOut(n, o.Workers, w, nil, func(_ blockSweep, i, base, cnt int) {
 		if cc.stopped() {
 			return
 		}
-		if kind == ckSpectrum {
-			s := new(spScratch)
-			ck.sp[i] = s
-			s.begin(c, ladder, base, cnt, t0, w)
-			if s.span > 0 {
-				s.run(c, t0, ck.doneTick, st, cc)
-			}
-		} else {
-			s := new(msScratch)
-			ck.ms[i] = s
-			s.begin(c, mode, base, cnt, t0, kind == ckForemost, w)
-			if s.span > 0 {
-				s.run(c, t0, ck.doneTick, st, cc)
-			}
+		s := k(false)
+		ck.blocks[i] = s
+		s.begin(c, ladder, base, cnt, t0, w)
+		if windowed {
+			s.run(c, t0, ck.doneTick, o.Stats, cc)
 		}
 	})
 	if cc.stopped() {
-		return nil, cc.err() // discarded whole: nothing to poison
+		return nil, nil, cc.err()
 	}
-	return ck, nil
+	return ck.extract(), ck, nil
 }
 
-// advance validates that c2 extends the checkpointed revision and
-// replays the suffix window (doneTick, watermark(c2)] through every
-// block. On success the checkpoint tracks c2; a cancellation mid-replay
-// poisons it (the scratches are torn between blocks or mid-tick).
-func (ck *SweepCheckpoint) advance(c2 *tvg.ContactSet, workers int, st *obs.SweepStats, cc *canceler) error {
+// Advance validates that c2 extends the checkpointed revision, replays
+// the suffix window (doneTick, watermark(c2)] through every block and
+// re-extracts every rung's matrix — bit-identical to a cold Sweep of
+// c2. Passing the revision already swept is legal and re-extracts
+// without sweeping. On success the checkpoint tracks c2. A ctx already
+// done when Advance starts leaves the checkpoint resumable; a
+// cancellation mid-replay poisons it (the scratches are torn between
+// blocks or mid-tick).
+func (ck *SweepCheckpoint) Advance(ctx context.Context, c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*SpectrumResult, error) {
 	if ck.poisoned {
-		return ErrCheckpointPoisoned
+		return nil, ErrCheckpointPoisoned
 	}
 	if !c2.Extends(ck.set) {
-		return ErrNotExtension
+		return nil, ErrNotExtension
 	}
+	cc := newCanceler(ctx)
 	if cc != nil && cc.poll() {
-		return cc.err() // nothing started: stays resumable
+		return nil, cc.err() // nothing started: stays resumable
 	}
+	// A later watermark implies a non-empty window, so every block has
+	// a run to resume.
 	newUp := ckUpTo(c2, ck.t0)
 	if newUp > ck.doneTick {
 		from := ck.doneTick + 1
-		nBlocks := len(ck.ms) + len(ck.sp)
-		ckFanOut(nBlocks, workers, func(i int) {
-			if cc.stopped() {
-				return
-			}
-			if ck.kind == ckSpectrum {
-				if s := ck.sp[i]; s.span > 0 {
-					s.run(c2, from, newUp, st, cc)
-				}
-			} else if s := ck.ms[i]; s.span > 0 {
-				s.run(c2, from, newUp, st, cc)
+		blockFanOut(ck.n, workers, ck.width, nil, func(_ blockSweep, i, _, _ int) {
+			if !cc.stopped() {
+				ck.blocks[i].run(c2, from, newUp, st, cc)
 			}
 		})
 		if cc.stopped() {
 			ck.poisoned = true
-			return cc.err()
+			return nil, cc.err()
 		}
 	}
 	ck.set = c2
 	ck.doneTick = newUp
-	return nil
+	return ck.extract(), nil
 }
 
-// AllForemostCheckpointed computes AllForemost(c, mode, t0) — the same
-// matrix bit for bit — and additionally returns a checkpoint that
-// (*SweepCheckpoint).AllForemost can resume after the stream is
-// extended. width/workers as in AllForemostStats (the width resolved
-// here is pinned for every resume); an invalid mode is rejected rather
-// than mapped to an all-unreachable matrix, since a dead checkpoint
-// would only mislead. ctx cancellation discards the whole pass.
-func AllForemostCheckpointed(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*ArrivalMatrix, *SweepCheckpoint, error) {
-	if !mode.IsValid() {
-		return nil, nil, errors.New("journey: invalid mode")
-	}
-	ck, err := newCheckpoint(ckForemost, c, mode, Ladder{}, t0, workers, width, st, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ck.extractForemost(), ck, nil
-}
-
-// AllForemost re-extracts the matrix for c2, replaying the appended
-// suffix first. c2 must extend the revision the checkpoint last swept
-// (passing that same revision is legal and re-extracts without
-// sweeping). The matrix is bit-identical to AllForemost(c2, mode, t0).
-func (ck *SweepCheckpoint) AllForemost(c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*ArrivalMatrix, error) {
-	if ck.kind != ckForemost {
-		return nil, errors.New("journey: checkpoint does not hold a foremost sweep")
-	}
-	if err := ck.advance(c2, workers, st, nil); err != nil {
-		return nil, err
-	}
-	return ck.extractForemost(), nil
-}
-
-// AllForemostCtx is AllForemost with cooperative cancellation: a
-// cancelled resume poisons the checkpoint (see Poisoned).
-func (ck *SweepCheckpoint) AllForemostCtx(ctx context.Context, c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*ArrivalMatrix, error) {
-	if ck.kind != ckForemost {
-		return nil, errors.New("journey: checkpoint does not hold a foremost sweep")
-	}
-	if err := ck.advance(c2, workers, st, newCanceler(ctx)); err != nil {
-		return nil, err
-	}
-	return ck.extractForemost(), nil
-}
-
-func (ck *SweepCheckpoint) extractForemost() *ArrivalMatrix {
-	n := ck.n
-	m := &ArrivalMatrix{n: n, t0: ck.t0, arr: make([]tvg.Time, n*n)}
-	for i := range m.arr {
-		m.arr[i] = -1
-	}
+// extract builds the result of the revision last swept from every
+// block's state.
+func (ck *SweepCheckpoint) extract() *SpectrumResult {
+	res := newSpectrumResult(ck.ladder, ck.t0, ck.n)
 	step := ck.width * blockBits
-	for i, s := range ck.ms {
-		s.extractForemost(m, i*step)
-	}
-	return m
-}
-
-// ReachabilityMatrixCheckpointed computes ReachabilityMatrix(c, mode,
-// t0) with a resumable checkpoint (see AllForemostCheckpointed).
-func ReachabilityMatrixCheckpointed(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*ReachMatrix, *SweepCheckpoint, error) {
-	if !mode.IsValid() {
-		return nil, nil, errors.New("journey: invalid mode")
-	}
-	ck, err := newCheckpoint(ckReach, c, mode, Ladder{}, t0, workers, width, st, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ck.extractReach(), ck, nil
-}
-
-// ReachabilityMatrix re-extracts the packed relation for c2, replaying
-// the appended suffix first (see (*SweepCheckpoint).AllForemost).
-func (ck *SweepCheckpoint) ReachabilityMatrix(c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*ReachMatrix, error) {
-	if ck.kind != ckReach {
-		return nil, errors.New("journey: checkpoint does not hold a reachability sweep")
-	}
-	if err := ck.advance(c2, workers, st, nil); err != nil {
-		return nil, err
-	}
-	return ck.extractReach(), nil
-}
-
-func (ck *SweepCheckpoint) extractReach() *ReachMatrix {
-	n := ck.n
-	words := (n + blockBits - 1) / blockBits
-	m := &ReachMatrix{n: n, words: words, bits: make([]uint64, n*words)}
-	step := ck.width * blockBits
-	for i, s := range ck.ms {
-		s.extractReach(m, i*step)
-	}
-	return m
-}
-
-// WaitSpectrumCheckpointed computes WaitSpectrum(c, ladder, t0) with a
-// resumable checkpoint (see AllForemostCheckpointed). An empty ladder
-// is rejected.
-func WaitSpectrumCheckpointed(c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, workers, width int, st *obs.SweepStats) (*SpectrumResult, *SweepCheckpoint, error) {
-	if ladder.Len() == 0 {
-		return nil, nil, errors.New("journey: empty ladder")
-	}
-	ck, err := newCheckpoint(ckSpectrum, c, Mode{}, ladder, t0, workers, width, st, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ck.extractSpectrum(), ck, nil
-}
-
-// WaitSpectrum re-extracts every rung's matrix for c2, replaying the
-// appended suffix first (see (*SweepCheckpoint).AllForemost).
-func (ck *SweepCheckpoint) WaitSpectrum(c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*SpectrumResult, error) {
-	if ck.kind != ckSpectrum {
-		return nil, errors.New("journey: checkpoint does not hold a spectrum sweep")
-	}
-	if err := ck.advance(c2, workers, st, nil); err != nil {
-		return nil, err
-	}
-	return ck.extractSpectrum(), nil
-}
-
-// WaitSpectrumCtx is WaitSpectrum with cooperative cancellation: a
-// cancelled resume poisons the checkpoint (see Poisoned).
-func (ck *SweepCheckpoint) WaitSpectrumCtx(ctx context.Context, c2 *tvg.ContactSet, workers int, st *obs.SweepStats) (*SpectrumResult, error) {
-	if ck.kind != ckSpectrum {
-		return nil, errors.New("journey: checkpoint does not hold a spectrum sweep")
-	}
-	if err := ck.advance(c2, workers, st, newCanceler(ctx)); err != nil {
-		return nil, err
-	}
-	return ck.extractSpectrum(), nil
-}
-
-func (ck *SweepCheckpoint) extractSpectrum() *SpectrumResult {
-	n, k := ck.n, ck.ladder.Len()
-	res := &SpectrumResult{ladder: ck.ladder, t0: ck.t0, mats: make([]*ArrivalMatrix, k)}
-	for r := range res.mats {
-		res.mats[r] = &ArrivalMatrix{n: n, t0: ck.t0, arr: make([]tvg.Time, n*n)}
-	}
-	step := ck.width * blockBits
-	for i, s := range ck.sp {
+	for i, s := range ck.blocks {
 		base := i * step
-		s.extractSpectrum(res, base, min(step, n-base))
+		s.extract(res, base, min(step, ck.n-base))
 	}
 	return res
 }

@@ -85,33 +85,38 @@ func sameReachMatrix(tb testing.TB, label string, want, got *ReachMatrix) {
 }
 
 // checkCheckpointChain drives one live-fill chain — the full stream
-// appended batch by batch per cuts — through checkpointed foremost,
-// reachability and spectrum sweeps, and pins every intermediate result
-// bit-identical to a cold sweep of the same revision.
+// appended batch by batch per cuts — through a checkpointed one-rung
+// sweep of mode (single-mode kernel) and one of ladder, and pins every
+// intermediate result bit-identical to a cold sweep of the same
+// revision: arrivals, the one-rung Reach against the reach-only kernel,
+// and every ladder rung.
 func checkCheckpointChain(tb testing.TB, label string, full *tvg.ContactSet, mode Mode, ladder Ladder, t0 tvg.Time, cuts []tvg.Time, width, workers int) {
 	tb.Helper()
 	n := full.Graph().NumNodes()
 	batches := partitionByTicks(recordsOf(full), cuts)
+	ctx := context.Background()
+	opts := SweepOpts{Workers: workers, Width: width}
+	cold := SweepOpts{Width: width}
+	check := func(blabel string, rev *tvg.ContactSet, one, sp *SpectrumResult) {
+		tb.Helper()
+		sameArrivalMatrix(tb, blabel+"/foremost", foremostOf(tb, rev, mode, t0, cold), one.Arrivals(0))
+		sameReachMatrix(tb, blabel+"/reach", reachOnlyOf(rev, mode, t0, width), one.Reach(0))
+		coldSp := sweepOf(tb, rev, ladder, t0, cold)
+		for r := 0; r < ladder.Len(); r++ {
+			sameArrivalMatrix(tb, fmt.Sprintf("%s/spectrum/rung%d", blabel, r), coldSp.Arrivals(r), sp.Arrivals(r))
+		}
+	}
 
 	rev := emptySet(tb, n, full.Horizon())
-	mF, ckF, err := AllForemostCheckpointed(rev, mode, t0, workers, width, nil)
+	one, ckOne, err := SweepCheckpointed(ctx, rev, rungOf(tb, mode), t0, opts)
 	if err != nil {
-		tb.Fatalf("%s: AllForemostCheckpointed: %v", label, err)
+		tb.Fatalf("%s: one-rung SweepCheckpointed: %v", label, err)
 	}
-	sameArrivalMatrix(tb, label+"/foremost/empty", AllForemostStats(rev, mode, t0, 1, width, nil), mF)
-	mR, ckR, err := ReachabilityMatrixCheckpointed(rev, mode, t0, workers, width, nil)
+	sp, ckS, err := SweepCheckpointed(ctx, rev, ladder, t0, opts)
 	if err != nil {
-		tb.Fatalf("%s: ReachabilityMatrixCheckpointed: %v", label, err)
+		tb.Fatalf("%s: ladder SweepCheckpointed: %v", label, err)
 	}
-	sameReachMatrix(tb, label+"/reach/empty", ReachabilityMatrixStats(rev, mode, t0, 1, width, nil), mR)
-	sp, ckS, err := WaitSpectrumCheckpointed(rev, ladder, t0, workers, width, nil)
-	if err != nil {
-		tb.Fatalf("%s: WaitSpectrumCheckpointed: %v", label, err)
-	}
-	coldSp := WaitSpectrumStats(rev, ladder, t0, 1, width, nil)
-	for r := 0; r < ladder.Len(); r++ {
-		sameArrivalMatrix(tb, fmt.Sprintf("%s/spectrum/empty/rung%d", label, r), coldSp.Arrivals(r), sp.Arrivals(r))
-	}
+	check(label+"/empty", rev, one, sp)
 
 	for bi, batch := range batches {
 		next, err := rev.AppendContacts(batch)
@@ -120,27 +125,13 @@ func checkCheckpointChain(tb testing.TB, label string, full *tvg.ContactSet, mod
 		}
 		rev = next
 		blabel := fmt.Sprintf("%s/batch%d(rev%d)", label, bi, rev.Revision())
-
-		mF, err = ckF.AllForemost(rev, workers, nil)
-		if err != nil {
-			tb.Fatalf("%s: resume foremost: %v", blabel, err)
+		if one, err = ckOne.Advance(ctx, rev, workers, nil); err != nil {
+			tb.Fatalf("%s: resume one-rung: %v", blabel, err)
 		}
-		sameArrivalMatrix(tb, blabel+"/foremost", AllForemostStats(rev, mode, t0, 1, width, nil), mF)
-
-		mR, err = ckR.ReachabilityMatrix(rev, workers, nil)
-		if err != nil {
-			tb.Fatalf("%s: resume reach: %v", blabel, err)
+		if sp, err = ckS.Advance(ctx, rev, workers, nil); err != nil {
+			tb.Fatalf("%s: resume ladder: %v", blabel, err)
 		}
-		sameReachMatrix(tb, blabel+"/reach", ReachabilityMatrixStats(rev, mode, t0, 1, width, nil), mR)
-
-		sp, err = ckS.WaitSpectrum(rev, workers, nil)
-		if err != nil {
-			tb.Fatalf("%s: resume spectrum: %v", blabel, err)
-		}
-		coldSp = WaitSpectrumStats(rev, ladder, t0, 1, width, nil)
-		for r := 0; r < ladder.Len(); r++ {
-			sameArrivalMatrix(tb, fmt.Sprintf("%s/spectrum/rung%d", blabel, r), coldSp.Arrivals(r), sp.Arrivals(r))
-		}
+		check(blabel, rev, one, sp)
 	}
 }
 
@@ -258,7 +249,8 @@ func TestCheckpointRejectsNonExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := AllForemostCheckpointed(revA, Wait(), 0, 1, 1, nil)
+	ctx := context.Background()
+	_, ck, err := SweepCheckpointed(ctx, revA, rungOf(t, Wait()), 0, SweepOpts{Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +258,7 @@ func TestCheckpointRejectsNonExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ck.AllForemost(revB, 1, nil); err != ErrNotExtension {
+	if _, err := ck.Advance(ctx, revB, 1, nil); err != ErrNotExtension {
 		t.Fatalf("sibling resume: err = %v, want ErrNotExtension", err)
 	}
 	// Own lineage still fine.
@@ -274,15 +266,8 @@ func TestCheckpointRejectsNonExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ck.AllForemost(revA2, 1, nil); err != nil {
+	if _, err := ck.Advance(ctx, revA2, 1, nil); err != nil {
 		t.Fatalf("own-lineage resume after rejection: %v", err)
-	}
-	// Wrong kind.
-	if _, err := ck.ReachabilityMatrix(revA2, 1, nil); err == nil {
-		t.Fatal("foremost checkpoint accepted a reachability resume")
-	}
-	if _, err := ck.WaitSpectrum(revA2, 1, nil); err == nil {
-		t.Fatal("foremost checkpoint accepted a spectrum resume")
 	}
 }
 
@@ -302,7 +287,7 @@ func TestCheckpointPoisonOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := AllForemostCheckpointed(rev, Wait(), 0, 1, 1, nil)
+	_, ck, err := SweepCheckpointed(context.Background(), rev, rungOf(t, Wait()), 0, SweepOpts{Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +299,13 @@ func TestCheckpointPoisonOnCancel(t *testing.T) {
 	// Pre-cancelled ctx: rejected without poisoning.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ck.AllForemostCtx(ctx, rev2, 1, nil); !errors.Is(err, ErrCanceled) {
+	if _, err := ck.Advance(ctx, rev2, 1, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-cancelled resume: err = %v, want ErrCanceled", err)
 	}
 	if ck.Poisoned() {
 		t.Fatal("pre-cancelled resume poisoned the checkpoint")
 	}
-	if _, err := ck.AllForemost(rev2, 1, nil); err != nil {
+	if _, err := ck.Advance(context.Background(), rev2, 1, nil); err != nil {
 		t.Fatalf("resume after pre-cancelled attempt: %v", err)
 	}
 
@@ -328,7 +313,7 @@ func TestCheckpointPoisonOnCancel(t *testing.T) {
 	// with the replay finishing first, so poison directly — the contract
 	// under test is the refusal, not the trip timing.
 	ck.poisoned = true
-	if _, err := ck.AllForemost(rev2, 1, nil); err != ErrCheckpointPoisoned {
+	if _, err := ck.Advance(context.Background(), rev2, 1, nil); err != ErrCheckpointPoisoned {
 		t.Fatalf("poisoned resume: err = %v, want ErrCheckpointPoisoned", err)
 	}
 }
@@ -347,7 +332,8 @@ func TestCheckpointComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := AllForemostCheckpointed(rev, Wait(), 0, 1, 1, nil)
+	ctx := context.Background()
+	_, ck, err := SweepCheckpointed(ctx, rev, rungOf(t, Wait()), 0, SweepOpts{Width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +344,11 @@ func TestCheckpointComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ck.AllForemost(rev, 1, nil)
+	res, err := ck.Advance(ctx, rev, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameArrivalMatrix(t, "complete-resume", AllForemost(rev, Wait(), 0), m)
+	sameArrivalMatrix(t, "complete-resume", foremostOf(t, rev, Wait(), 0, SweepOpts{}), res.Arrivals(0))
 }
 
 // FuzzCheckpointPartition drives arbitrary append partitions of one

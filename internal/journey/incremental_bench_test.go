@@ -1,6 +1,7 @@
 package journey
 
 import (
+	"context"
 	"testing"
 
 	"tvgwait/internal/obs"
@@ -57,14 +58,15 @@ func incrementalChain(b *testing.B, split tvg.Time) (func() *tvg.ContactSet, [][
 // exactly the regime where recomputing per update hurts.
 func BenchmarkIncrementalColdForemost256(b *testing.B) {
 	c := markov256(b)
+	nowait := rungOf(b, NoWait())
 	var st obs.SweepStats
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, _, err := AllForemostCheckpointed(c, NoWait(), 0, 1, 0, &st)
+		res, _, err := SweepCheckpointed(context.Background(), c, nowait, 0, SweepOpts{Stats: &st})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.ReachablePairs() == 0 {
+		if res.Arrivals(0).ReachablePairs() == 0 {
 			b.Fatal("no-wait sweep reached no pairs")
 		}
 	}
@@ -76,10 +78,11 @@ func BenchmarkIncrementalColdForemost256(b *testing.B) {
 // BenchmarkIncrementalColdForemost256.
 func BenchmarkIncrementalResumeForemost256(b *testing.B) {
 	buildPrefix, batches := incrementalChain(b, 50)
+	nowait := rungOf(b, NoWait())
 	var st obs.SweepStats
 	rebuild := func() (*tvg.ContactSet, *SweepCheckpoint) {
 		prefix := buildPrefix()
-		_, ck, err := AllForemostCheckpointed(prefix, NoWait(), 0, 1, 0, &st)
+		_, ck, err := SweepCheckpointed(context.Background(), prefix, nowait, 0, SweepOpts{Stats: &st})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +104,7 @@ func BenchmarkIncrementalResumeForemost256(b *testing.B) {
 			b.Fatal(err)
 		}
 		next++
-		if _, err := ck.AllForemost(c2, 1, &st); err != nil {
+		if _, err := ck.Advance(context.Background(), c2, 1, &st); err != nil {
 			b.Fatal(err)
 		}
 		cur = c2
@@ -116,7 +119,7 @@ func BenchmarkIncrementalColdSpectrum256(b *testing.B) {
 	var st obs.SweepStats
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, _, err := WaitSpectrumCheckpointed(c, ladder, 0, 1, 0, &st)
+		res, _, err := SweepCheckpointed(context.Background(), c, ladder, 0, SweepOpts{Stats: &st})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +139,7 @@ func BenchmarkIncrementalResumeSpectrum256(b *testing.B) {
 	var st obs.SweepStats
 	rebuild := func() (*tvg.ContactSet, *SweepCheckpoint) {
 		prefix := buildPrefix()
-		_, ck, err := WaitSpectrumCheckpointed(prefix, ladder, 0, 1, 0, &st)
+		_, ck, err := SweepCheckpointed(context.Background(), prefix, ladder, 0, SweepOpts{Stats: &st})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +161,7 @@ func BenchmarkIncrementalResumeSpectrum256(b *testing.B) {
 			b.Fatal(err)
 		}
 		next++
-		if _, err := ck.WaitSpectrum(c2, 1, &st); err != nil {
+		if _, err := ck.Advance(context.Background(), c2, 1, &st); err != nil {
 			b.Fatal(err)
 		}
 		cur = c2

@@ -41,7 +41,6 @@ package journey
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"tvgwait/internal/obs"
 	"tvgwait/internal/tvg"
@@ -92,7 +91,8 @@ const msMaxRetainedBytes = 128 << 20
 // set under one waiting semantics: entry (src, dst) is the earliest
 // arrival of a feasible journey from src to dst departing no earlier
 // than t0, or -1 if dst is unreachable from src within the horizon.
-// The diagonal holds t0 (the empty journey). Produced by AllForemost.
+// The diagonal holds t0 (the empty journey). Sweep produces one per
+// ladder rung.
 type ArrivalMatrix struct {
 	n   int
 	t0  tvg.Time
@@ -188,7 +188,7 @@ func (m *ArrivalMatrix) ReachablePairs() int {
 
 // ReachMatrix is the packed all-pairs temporal reachability relation:
 // one bit per ordered (src, dst) pair, source bits word-packed per
-// destination. Produced by ReachabilityMatrix.
+// destination. Produced by SpectrumResult.Reach.
 type ReachMatrix struct {
 	n     int
 	words int      // ⌈n/64⌉ source words per destination row
@@ -465,7 +465,7 @@ func (s *msScratch) recordReached(row, l int, w uint64) {
 // nil-check per tick and leaves results bit-identical to the
 // pre-cancellation sweep.
 func (s *msScratch) sweep(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int, st *obs.SweepStats, cc *canceler) {
-	s.begin(c, mode, base, cnt, t0, arrivals, width)
+	s.beginMode(c, mode, base, cnt, t0, arrivals, width)
 	if s.span == 0 {
 		if st != nil {
 			st.Blocks.Inc()
@@ -479,13 +479,13 @@ func (s *msScratch) sweep(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Ti
 	s.cleanupFrom(c, t)
 }
 
-// begin prepares the scratch for the block [base, base+cnt) and seeds
-// the sources; the tick loop itself is run. A sweep is begin + one or
-// more run calls over adjacent tick windows + cleanupFrom where the
-// last run stopped — the legacy sweep does all three at once, a
+// beginMode prepares the scratch for the block [base, base+cnt) and
+// seeds the sources; the tick loop itself is run. A sweep is beginMode
+// + one or more run calls over adjacent tick windows + cleanupFrom
+// where the last run stopped — sweep does all three at once, a
 // SweepCheckpoint keeps the scratch between run calls and replays only
 // the suffix of an extended contact stream.
-func (s *msScratch) begin(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int) {
+func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int) {
 	n := c.Graph().NumNodes()
 	horizon := c.Horizon()
 	span := spanOf(c, t0)
@@ -797,6 +797,48 @@ func (s *msScratch) cleanupFrom(c *tvg.ContactSet, t tvg.Time) {
 	}
 }
 
+// begin implements blockSweep: the single-mode kernel answers a
+// one-rung ladder, foremost arrivals recorded.
+func (s *msScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int) {
+	s.beginMode(c, ladder.Mode(0), base, cnt, t0, true, width)
+}
+
+// extract scatters the block's recorded firsts into the source rows
+// [base, base+cnt) of the one-rung result, after marking every pair of
+// those rows unreached (-1). Lane-major: each lane scatters into only
+// its own 64 source rows of the matrix (the working set of a narrow
+// sweep), where a node-major walk over a wide block would cycle through
+// 64·W rows per node and thrash the write lines.
+func (s *msScratch) extract(res *SpectrumResult, base, cnt int) {
+	m := res.mats[0]
+	n, sw := s.n, s.w
+	rows := m.arr[base*n : (base+cnt)*n]
+	for i := range rows {
+		rows[i] = -1
+	}
+	for l := 0; l < sw; l++ {
+		srcBase := base + l*blockBits
+		for v := 0; v < n; v++ {
+			row := v*sw + l
+			wd := s.reached[row]
+			if wd == 0 {
+				continue
+			}
+			fb := row * blockBits
+			for mw := wd; mw != 0; mw &= mw - 1 {
+				j := bits.TrailingZeros64(mw)
+				m.arr[(srcBase+j)*n+v] = s.first[fb+j]
+			}
+		}
+	}
+}
+
+// retired implements blockSweep: an empty window, or every lane done.
+func (s *msScratch) retired() bool { return s.span == 0 || s.active == 0 }
+
+// release implements blockSweep.
+func (s *msScratch) release() { putMsScratch(s) }
+
 // spanOf returns the length of the sweep window [t0, horizon] in
 // ticks, or 0 when the window is empty.
 func spanOf(c *tvg.ContactSet, t0 tvg.Time) int64 {
@@ -856,203 +898,6 @@ func normWidth(width, n int, span int64, rungs, workers int) int {
 	return w
 }
 
-// forEachBlock runs fn(block) for every width·64-source block of an
-// n-node sweep, fanning the blocks out across up to `workers`
-// goroutines (each renting its own pooled msScratch). Blocks are
-// independent by construction — each sweeps its own scratch and writes
-// a disjoint region of the result — so the output is bit-identical at
-// any worker count. workers ≤ 1, or a single block, stays on the
-// calling goroutine with zero synchronisation.
-func forEachBlock(n, workers, width int, fn func(s *msScratch, base, cnt int)) {
-	blockFanOut(getMsScratch, func(s *msScratch) { putMsScratch(s) }, n, workers, width, fn)
-}
-
-// blockFanOut is the scratch-agnostic body of forEachBlock, shared with
-// the wait-spectrum sweep (which rents spScratch instead): one atomic
-// block counter, one pooled scratch per goroutine, no other
-// synchronisation. put enforces the pools' retention cap.
-func blockFanOut[S any](get func() S, put func(S), n, workers, width int, fn func(s S, base, cnt int)) {
-	step := width * blockBits
-	nBlocks := (n + step - 1) / step
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 {
-		s := get()
-		defer put(s)
-		for base := 0; base < n; base += step {
-			fn(s, base, min(step, n-base))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := get()
-			defer put(s)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				base := b * step
-				fn(s, base, min(step, n-base))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// AllForemost computes the foremost arrival time of every ordered
-// (src, dst) pair in one bit-parallel contact sweep per source block
-// (64·W sources at the automatic width) — the batch equivalent of n²
-// Foremost calls, bit-identical to them (asserted by the randomized
-// differential tests). An invalid mode yields an all-unreachable
-// matrix, matching Foremost's ok=false.
-func AllForemost(c *tvg.ContactSet, mode Mode, t0 tvg.Time) *ArrivalMatrix {
-	return AllForemostParallel(c, mode, t0, 1)
-}
-
-// AllForemostParallel is AllForemost with the source blocks fanned out
-// across up to `workers` goroutines. Blocks write disjoint row ranges
-// of the matrix, so the result is bit-identical to the sequential sweep
-// at any worker count; above one block the wall-clock scales with
-// cores. The engine's Metrics path uses it with the engine worker
-// width.
-func AllForemostParallel(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers int) *ArrivalMatrix {
-	return AllForemostStats(c, mode, t0, workers, 0, nil)
-}
-
-// AllForemostStats is AllForemostParallel with an explicit sweep width
-// and optional telemetry. width is the block's lane-word count — 64·W
-// sources per contact pass — clamped to {1, 2, 4, 8}; 0 picks the
-// automatic width from the node count, the worker fan-out and the
-// dense-grid budget. Results are bit-identical at every width. A
-// non-nil st accumulates what the sweep did (blocks, contacts swept,
-// early exits, expiries, lane retirements, sparse fallbacks) — the
-// result is identical with or without it.
-func AllForemostStats(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) *ArrivalMatrix {
-	return allForemost(c, mode, t0, workers, width, st, nil)
-}
-
-// allForemost is the shared body of AllForemostStats (nil cc) and
-// AllForemostCtx (ctx-backed cc). A tripped canceler skips the
-// remaining blocks and their extraction; the caller discards the
-// partial matrix.
-func allForemost(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats, cc *canceler) *ArrivalMatrix {
-	n := c.Graph().NumNodes()
-	m := &ArrivalMatrix{n: n, t0: t0, arr: make([]tvg.Time, n*n)}
-	for i := range m.arr {
-		m.arr[i] = -1
-	}
-	if !mode.IsValid() {
-		return m
-	}
-	w := normWidth(width, n, spanOf(c, t0), 1, workers)
-	if st != nil {
-		st.Width.Set(int64(w))
-	}
-	forEachBlock(n, workers, w, func(s *msScratch, base, cnt int) {
-		if cc.stopped() {
-			return
-		}
-		s.sweep(c, mode, base, cnt, t0, true, w, st, cc)
-		if cc.stopped() {
-			return
-		}
-		s.extractForemost(m, base)
-	})
-	return m
-}
-
-// extractForemost scatters the block's recorded firsts into the rows
-// [base, base+s.w·64) of m. Lane-major: each lane scatters into only
-// its own 64 source rows of the matrix (the working set of a narrow
-// sweep), where a node-major walk over a wide block would cycle through
-// 64·W rows per node and thrash the write lines. Rows of sources the
-// block never reached are left as the caller prefilled them (-1).
-func (s *msScratch) extractForemost(m *ArrivalMatrix, base int) {
-	n, sw := s.n, s.w
-	for l := 0; l < sw; l++ {
-		srcBase := base + l*blockBits
-		for v := 0; v < n; v++ {
-			row := v*sw + l
-			wd := s.reached[row]
-			if wd == 0 {
-				continue
-			}
-			fb := row * blockBits
-			for mw := wd; mw != 0; mw &= mw - 1 {
-				j := bits.TrailingZeros64(mw)
-				m.arr[(srcBase+j)*n+v] = s.first[fb+j]
-			}
-		}
-	}
-}
-
-// ReachabilityMatrix computes the packed all-pairs reachability
-// relation — per source, exactly ReachableSet(c, mode, src, t0) — in
-// one reachability-only sweep per source block, with early exit as
-// soon as a block's masks are all ones.
-func ReachabilityMatrix(c *tvg.ContactSet, mode Mode, t0 tvg.Time) *ReachMatrix {
-	return ReachabilityMatrixParallel(c, mode, t0, 1)
-}
-
-// ReachabilityMatrixParallel is ReachabilityMatrix with the source
-// blocks fanned out across up to `workers` goroutines; each block
-// writes its own word columns, so the result is bit-identical at any
-// worker count.
-func ReachabilityMatrixParallel(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers int) *ReachMatrix {
-	return ReachabilityMatrixStats(c, mode, t0, workers, 0, nil)
-}
-
-// ReachabilityMatrixStats is ReachabilityMatrixParallel with an
-// explicit sweep width and optional telemetry (see AllForemostStats).
-func ReachabilityMatrixStats(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats) *ReachMatrix {
-	return reachabilityMatrix(c, mode, t0, workers, width, st, nil)
-}
-
-// reachabilityMatrix is the shared body of ReachabilityMatrixStats (nil
-// cc) and ReachabilityMatrixCtx (ctx-backed cc).
-func reachabilityMatrix(c *tvg.ContactSet, mode Mode, t0 tvg.Time, workers, width int, st *obs.SweepStats, cc *canceler) *ReachMatrix {
-	n := c.Graph().NumNodes()
-	words := (n + blockBits - 1) / blockBits
-	m := &ReachMatrix{n: n, words: words, bits: make([]uint64, n*words)}
-	if n == 0 || !mode.IsValid() {
-		return m
-	}
-	w := normWidth(width, n, spanOf(c, t0), 1, workers)
-	if st != nil {
-		st.Width.Set(int64(w))
-	}
-	forEachBlock(n, workers, w, func(s *msScratch, base, cnt int) {
-		if cc.stopped() {
-			return
-		}
-		s.sweep(c, mode, base, cnt, t0, false, w, st, cc)
-		if cc.stopped() {
-			return
-		}
-		s.extractReach(m, base)
-	})
-	return m
-}
-
-// extractReach copies the block's reached words into m's source-word
-// columns [base/64, base/64+s.w).
-func (s *msScratch) extractReach(m *ReachMatrix, base int) {
-	n, sw, words := s.n, s.w, m.words
-	b := base / blockBits
-	for v := 0; v < n; v++ {
-		for l := 0; l < sw; l++ {
-			m.bits[v*words+b+l] = s.reached[v*sw+l]
-		}
-	}
-}
-
 // TemporallyConnected reports whether every ordered pair of nodes is
 // connected by a feasible journey departing no earlier than t0 — the
 // temporal connectivity property that underpins broadcast and routing
@@ -1069,12 +914,21 @@ func TemporallyConnected(c *tvg.ContactSet, mode Mode, t0 tvg.Time) bool {
 		return false
 	}
 	w := autoWidth(n, spanOf(c, t0), 1, 1)
+	return reachBlocks(c, mode, t0, w, func(s *msScratch, _ int) bool { return s.unreached == 0 })
+}
+
+// reachBlocks runs the single-mode kernel's reach-only mode (no arrival
+// times, cheaper) over the width·64-source blocks of c in order, and
+// hands each finished block to each, stopping at the first false.
+// Reports whether every call returned true.
+func reachBlocks(c *tvg.ContactSet, mode Mode, t0 tvg.Time, width int, each func(s *msScratch, base int) bool) bool {
+	n := c.Graph().NumNodes()
 	s := getMsScratch()
 	defer putMsScratch(s)
-	step := w * blockBits
+	step := width * blockBits
 	for base := 0; base < n; base += step {
-		s.sweep(c, mode, base, min(step, n-base), t0, false, w, nil, nil)
-		if s.unreached > 0 {
+		s.sweep(c, mode, base, min(step, n-base), t0, false, width, nil, nil)
+		if !each(s, base) {
 			return false
 		}
 	}

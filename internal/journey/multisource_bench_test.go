@@ -105,13 +105,15 @@ func BenchmarkTemporallyConnected256SingleSource(b *testing.B) {
 	}
 }
 
-// BenchmarkAllForemost256 measures materializing the full 256×256
-// foremost-arrival matrix (the engine /metrics workload).
+// BenchmarkAllForemost256 measures a one-rung wait Sweep, which
+// materializes the full 256×256 foremost-arrival matrix on the
+// single-mode kernel (a single-mode /metrics request).
 func BenchmarkAllForemost256(b *testing.B) {
 	c := markov256(b)
+	wait := rungOf(b, Wait())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := AllForemost(c, Wait(), 0)
+		m := sweepOf(b, c, wait, 0, SweepOpts{}).Arrivals(0)
 		if !m.Connected() {
 			b.Fatal("benchmark network must be connected under wait")
 		}
@@ -124,10 +126,11 @@ func BenchmarkAllForemost256(b *testing.B) {
 // recovery); with ≥4 cores it approaches a 4× speedup.
 func BenchmarkAllForemost256Parallel(b *testing.B) {
 	c := markov256(b)
+	wait := rungOf(b, Wait())
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := AllForemostParallel(c, Wait(), 0, workers)
+		m := sweepOf(b, c, wait, 0, SweepOpts{Workers: workers}).Arrivals(0)
 		if !m.Connected() {
 			b.Fatal("benchmark network must be connected under wait")
 		}

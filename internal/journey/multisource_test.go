@@ -1,6 +1,7 @@
 package journey
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,9 +13,10 @@ import (
 
 // TestMultiSourceMatchesSingleSource is the differential harness of the
 // bit-parallel sweep: across generator models, waiting modes, horizons
-// and start times, AllForemost / ReachabilityMatrix / the rewritten
-// metrics must agree bit for bit with the single-source searches and
-// the preserved pre-multisource metric loops.
+// and start times, the one-rung Sweep (and its packed Reach), the
+// reach-only kernel and the rewritten metrics must agree bit for bit
+// with the single-source searches and the preserved pre-multisource
+// metric loops.
 func TestMultiSourceMatchesSingleSource(t *testing.T) {
 	for _, horizon := range []tvg.Time{12, 30, 55} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -23,19 +25,23 @@ func TestMultiSourceMatchesSingleSource(t *testing.T) {
 				for _, t0 := range []tvg.Time{0, horizon / 3, horizon} {
 					for _, mode := range diffModes() {
 						label := fmt.Sprintf("%s/h=%d/seed=%d/%s t0=%d", name, horizon, seed, mode, t0)
-						m := AllForemost(c, mode, t0)
-						r := ReachabilityMatrix(c, mode, t0)
+						res := sweepOf(t, c, rungOf(t, mode), t0, SweepOpts{})
+						m := res.Arrivals(0)
+						r := reachOnlyOf(c, mode, t0, 0)
+						if !slices.Equal(res.Reach(0).bits, r.bits) {
+							t.Fatalf("%s: Sweep Reach differs from the reach-only kernel", label)
+						}
 						for src := tvg.Node(0); int(src) < n; src++ {
 							reach := ReachableSet(c, mode, src, t0)
 							for dst := tvg.Node(0); int(dst) < n; dst++ {
 								arr, ok := m.At(src, dst)
 								_, sarr, sok := Foremost(c, mode, src, dst, t0)
 								if ok != sok || (ok && arr != sarr) {
-									t.Fatalf("%s: AllForemost(%d,%d) = (%d, %v), Foremost (%d, %v)",
+									t.Fatalf("%s: Sweep(%d,%d) = (%d, %v), Foremost (%d, %v)",
 										label, src, dst, arr, ok, sarr, sok)
 								}
 								if got := r.Reachable(src, dst); got != reach[dst] {
-									t.Fatalf("%s: ReachabilityMatrix(%d,%d) = %v, ReachableSet %v",
+									t.Fatalf("%s: reach-only (%d,%d) = %v, ReachableSet %v",
 										label, src, dst, got, reach[dst])
 								}
 								if ok != reach[dst] {
@@ -103,8 +109,8 @@ func TestMultiSourceBlockBoundaries(t *testing.T) {
 		}
 		for _, mode := range []Mode{NoWait(), BoundedWait(2), Wait()} {
 			label := fmt.Sprintf("n=%d/%s", tc.nodes, mode)
-			m := AllForemost(c, mode, 0)
-			r := ReachabilityMatrix(c, mode, 0)
+			m := foremostOf(t, c, mode, 0, SweepOpts{})
+			r := reachOnlyOf(c, mode, 0, 0)
 			for src := tvg.Node(0); int(src) < tc.nodes; src++ {
 				reach := ReachableSet(c, mode, src, 0)
 				for dst := tvg.Node(0); int(dst) < tc.nodes; dst++ {
@@ -165,8 +171,8 @@ func TestMultiSourceSparseGridFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{NoWait(), BoundedWait(5000), Wait()} {
-		m := AllForemost(c, mode, 0)
-		r := ReachabilityMatrix(c, mode, 0)
+		m := foremostOf(t, c, mode, 0, SweepOpts{})
+		r := reachOnlyOf(c, mode, 0, 0)
 		for trial := 0; trial < 40; trial++ {
 			src := tvg.Node(rng.Intn(n))
 			reach := ReachableSet(c, mode, src, 0)
@@ -215,7 +221,7 @@ func TestMultiSourceEarlyExitReuse(t *testing.T) {
 		if !TemporallyConnected(cDense, Wait(), 0) {
 			t.Fatal("dense static graph must be temporally connected under wait")
 		}
-		m := AllForemost(cDense, Wait(), 0)
+		m := foremostOf(t, cDense, Wait(), 0, SweepOpts{})
 		if !m.Connected() {
 			t.Fatal("dense matrix must be all-reachable")
 		}
@@ -231,7 +237,7 @@ func TestMultiSourceEarlyExitReuse(t *testing.T) {
 		}
 		// Immediately reuse the scratch on a different shape and mode.
 		for _, mode := range []Mode{NoWait(), BoundedWait(3)} {
-			ms := AllForemost(cSparse, mode, 0)
+			ms := foremostOf(t, cSparse, mode, 0, SweepOpts{})
 			for trial := 0; trial < 60; trial++ {
 				src := tvg.Node(rng.Intn(70))
 				dst := tvg.Node(rng.Intn(70))
@@ -260,8 +266,8 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	if d, ok := TemporalDiameter(empty, Wait(), 0); !ok || d != 0 {
 		t.Errorf("empty diameter = (%d, %v), want (0, true)", d, ok)
 	}
-	if m := AllForemost(empty, Wait(), 0); m.NumNodes() != 0 || !m.Connected() {
-		t.Error("empty AllForemost should be a 0×0 connected matrix")
+	if m := foremostOf(t, empty, Wait(), 0, SweepOpts{}); m.NumNodes() != 0 || !m.Connected() {
+		t.Error("empty sweep should be a 0×0 connected matrix")
 	}
 
 	// Singleton: reachable from itself at t0, diameter 0.
@@ -271,7 +277,7 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := AllForemost(c1, NoWait(), 3); !m.Connected() {
+	if m := foremostOf(t, c1, NoWait(), 3, SweepOpts{}); !m.Connected() {
 		t.Error("singleton should be connected")
 	} else if arr, ok := m.At(0, 0); !ok || arr != 3 {
 		t.Errorf("singleton At(0,0) = (%d, %v), want (3, true)", arr, ok)
@@ -291,7 +297,7 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	}
 	for _, t0 := range []tvg.Time{0, 10, 15} {
 		for _, mode := range diffModes() {
-			m := AllForemost(c2, mode, t0)
+			m := foremostOf(t, c2, mode, t0, SweepOpts{})
 			for src := tvg.Node(0); src < 2; src++ {
 				for dst := tvg.Node(0); dst < 2; dst++ {
 					arr, ok := m.At(src, dst)
@@ -306,7 +312,8 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	}
 
 	// Invalid mode behaves like the single-source searches: nothing is
-	// reachable, nothing is connected, metrics are undefined.
+	// reachable, nothing is connected, metrics are undefined — and it
+	// cannot form a ladder, so it never reaches a sweep.
 	if TemporallyConnected(c2, Mode{}, 0) {
 		t.Error("invalid mode should not be connected")
 	}
@@ -316,15 +323,16 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	if _, ok := TemporalEccentricity(c2, Mode{}, 0, 0); ok {
 		t.Error("invalid mode eccentricity should be undefined")
 	}
-	if m := AllForemost(c2, Mode{}, 0); m.ReachablePairs() != 0 {
-		t.Error("invalid mode AllForemost should be all-unreachable")
+	if _, err := NewLadder(Mode{}); err == nil {
+		t.Error("invalid mode should not form a ladder")
 	}
-	if r := ReachabilityMatrix(c2, Mode{}, 0); r.ReachablePairs() != 0 {
-		t.Error("invalid mode ReachabilityMatrix should be empty")
+	if _, err := Sweep(context.Background(), c2, Ladder{}, 0, SweepOpts{}); err == nil {
+		t.Error("zero ladder should be rejected")
 	}
 
 	// Out-of-range accessors.
-	m := AllForemost(c2, Wait(), 0)
+	res := sweepOf(t, c2, rungOf(t, Wait()), 0, SweepOpts{})
+	m := res.Arrivals(0)
 	if _, ok := m.At(-1, 0); ok {
 		t.Error("At(-1, 0) should be false")
 	}
@@ -334,17 +342,17 @@ func TestMultiSourceEdgeCases(t *testing.T) {
 	if _, ok := m.Eccentricity(5); ok {
 		t.Error("Eccentricity out of range should be false")
 	}
-	r := ReachabilityMatrix(c2, Wait(), 0)
+	r := res.Reach(0)
 	if r.Reachable(0, 7) || r.Reachable(-1, 0) {
 		t.Error("Reachable out of range should be false")
 	}
 }
 
-// TestParallelSweepsMatchSequential pins the block fan-out contract:
-// AllForemostParallel and ReachabilityMatrixParallel must be
-// bit-identical to the sequential sweeps at every worker count — blocks
-// are independent and write disjoint result regions, so parallelism
-// must never be observable in the output.
+// TestParallelSweepsMatchSequential pins the block fan-out contract: a
+// one-rung Sweep and its packed Reach must be bit-identical to the
+// sequential sweep at every worker count — blocks are independent and
+// write disjoint result regions, so parallelism must never be
+// observable in the output.
 func TestParallelSweepsMatchSequential(t *testing.T) {
 	nets := []struct {
 		name string
@@ -368,17 +376,15 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	}
 	for _, net := range nets {
 		for _, mode := range []Mode{NoWait(), BoundedWait(2), Wait()} {
-			want := AllForemost(net.c, mode, 0)
-			wantR := ReachabilityMatrix(net.c, mode, 0)
+			want := sweepOf(t, net.c, rungOf(t, mode), 0, SweepOpts{})
 			for _, workers := range []int{0, 1, 2, 3, 16} {
-				got := AllForemostParallel(net.c, mode, 0, workers)
-				if !slices.Equal(got.arr, want.arr) {
-					t.Fatalf("%s/%s: AllForemostParallel(workers=%d) differs from sequential",
+				got := sweepOf(t, net.c, rungOf(t, mode), 0, SweepOpts{Workers: workers})
+				if !slices.Equal(got.Arrivals(0).arr, want.Arrivals(0).arr) {
+					t.Fatalf("%s/%s: Sweep(workers=%d) differs from sequential",
 						net.name, mode, workers)
 				}
-				gotR := ReachabilityMatrixParallel(net.c, mode, 0, workers)
-				if !slices.Equal(gotR.bits, wantR.bits) {
-					t.Fatalf("%s/%s: ReachabilityMatrixParallel(workers=%d) differs from sequential",
+				if !slices.Equal(got.Reach(0).bits, want.Reach(0).bits) {
+					t.Fatalf("%s/%s: Reach(workers=%d) differs from sequential",
 						net.name, mode, workers)
 				}
 			}

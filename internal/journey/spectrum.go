@@ -3,8 +3,8 @@ package journey
 // Wait-spectrum sweep: the all-pairs foremost-arrival matrix for an
 // entire ladder of waiting budgets {nowait, d1 < … < dK, wait} in ONE
 // departure-ordered pass over the contact stream per source block
-// (64·W sources at width W), instead of one AllForemost pass per
-// budget.
+// (64·W sources at width W), instead of one single-mode pass per
+// budget. Sweep runs it for every ladder of two or more rungs.
 //
 // The ladder is the paper's central object — the inclusion chain
 // L_nowait ⊆ L_wait[d] ⊆ L_wait[d'] ⊆ L_wait (d ≤ d') — and the sweep
@@ -30,18 +30,18 @@ package journey
 // top-rung word is non-zero whenever any rung's word is, so one due
 // entry per (node, tick, lane) drains all K rungs.
 //
-// Per rung the update rules are verbatim msScratch.sweep — same word
+// Per rung the update rules are verbatim msScratch.run — same word
 // dedup against the pending cell, same lastArr-refreshed expiry at
 // a+d_r+1, same terminal handling past the horizon — so each rung's
 // state evolves exactly as its independent single-mode sweep would, and
-// every rung's matrix is bit-identical to AllForemost under that rung's
-// mode at every width (pinned by the randomized differential tests in
-// spectrum_test.go). A per-(node, bit) "minimal live rung" small-int
-// plane alone cannot replace the per-rung lastArr planes: two copies
-// (arrival 5, rung 2) and (arrival 9, rung 4) form a Pareto staircase —
-// which rung is live depends on *which* arrival refreshed it — so
-// rung-aware expiry needs the latest arrival per rung prefix. See
-// DESIGN.md §7 and §9.
+// every rung's matrix is bit-identical to the single-mode kernel's
+// under that rung's mode at every width (pinned by the randomized
+// differential tests in spectrum_test.go). A per-(node, bit) "minimal
+// live rung" small-int plane alone cannot replace the per-rung lastArr
+// planes: two copies (arrival 5, rung 2) and (arrival 9, rung 4) form a
+// Pareto staircase — which rung is live depends on *which* arrival
+// refreshed it — so rung-aware expiry needs the latest arrival per rung
+// prefix. See DESIGN.md §7 and §9.
 
 import (
 	"errors"
@@ -150,7 +150,7 @@ func (l Ladder) String() string {
 
 // SpectrumResult holds one foremost-arrival matrix per ladder rung, all
 // computed by a single contact sweep per source block. Rung i's matrix
-// is bit-identical to AllForemost(c, ladder.Mode(i), t0).
+// is bit-identical to a one-rung Sweep of ladder.Mode(i).
 type SpectrumResult struct {
 	ladder Ladder
 	t0     tvg.Time
@@ -182,8 +182,8 @@ func (r *SpectrumResult) ArrivalsFor(m Mode) (*ArrivalMatrix, bool) {
 	return r.mats[i], true
 }
 
-// Reach packs rung i's reachability relation into a bitset, exactly
-// ReachabilityMatrix(c, ladder.Mode(i), t0).
+// Reach packs rung i's reachability relation into a bitset: per
+// source, exactly ReachableSet(c, ladder.Mode(i), src, t0).
 func (r *SpectrumResult) Reach(i int) *ReachMatrix {
 	m := r.mats[i]
 	words := (m.n + blockBits - 1) / blockBits
@@ -483,44 +483,6 @@ func (s *spScratch) record(row, r int, w, lowest, seenNew uint64, arr tvg.Time) 
 	return newBits
 }
 
-// sweep floods the source block [base, base+cnt) through the contact
-// stream once, maintaining every rung's frontier simultaneously across
-// up to width lane words. Results stay in the scratch for the caller to
-// extract before the next sweep; the effective lane count is s.w
-// (width, clamped to the lanes cnt actually fills).
-//
-// Early exit mirrors the arrival rule of msScratch.sweep, quantified
-// over rungs: stop once every rung has reached every (node, source)
-// pair AND no future arrival (≥ t+1) can undercut a recorded first
-// (t+1 ≥ maxFirst). Rungs that never complete (nowait on a sparse
-// network) keep the sweep running to the horizon — exactly as their
-// independent passes would. Rung retirement is a property of the whole
-// block (remaining counters sum over lanes), so the spectrum retires
-// rungs, not lanes.
-//
-// A non-nil st receives the block's telemetry — contacts examined,
-// cascade expiry checks, mid-sweep rung retirements, early exit, sparse
-// fallback — in one atomic merge after the pass (see DESIGN.md §8).
-//
-// A non-nil cc is the block's cancellation checkpoint, polled every
-// ~CancelCheckInterval work units exactly as in msScratch.sweep; the
-// abort path keeps the grid self-cleaning and merges partial telemetry
-// plus one Cancellations tick.
-func (s *spScratch) sweep(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int, st *obs.SweepStats, cc *canceler) {
-	s.begin(c, ladder, base, cnt, t0, width)
-	if s.span == 0 {
-		if st != nil {
-			st.Blocks.Inc()
-		}
-		return
-	}
-	t, _ := s.run(c, t0, c.Horizon(), st, cc)
-	// Cleanup after an early exit or a cancellation abort: zero the
-	// never-drained pending cells so the grid is all-zero for the next
-	// sweep.
-	s.cleanupFrom(c, t)
-}
-
 // begin prepares the scratch for the block [base, base+cnt) and seeds
 // the sources at every rung; the tick loop itself is run. Same
 // begin/run/cleanupFrom contract as msScratch — a SweepCheckpoint keeps
@@ -576,11 +538,29 @@ func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tv
 }
 
 // run processes the tick window [from, upTo] of a begun spectrum sweep
-// (rung retirement, due drains, cascading expiries, contacts). The same
-// window-splitting contract as msScratch.run: no grid cleanup past the
-// stopping point, state at a window boundary identical to one run over
-// the union window. Returns the first unprocessed tick and whether cc
-// aborted mid-tick (torn state, not resumable).
+// (rung retirement, due drains, cascading expiries, contacts),
+// maintaining every rung's frontier simultaneously across up to s.w
+// lane words. The same window-splitting contract as msScratch.run: no
+// grid cleanup past the stopping point, state at a window boundary
+// identical to one run over the union window. Returns the first
+// unprocessed tick and whether cc aborted mid-tick (torn state, not
+// resumable).
+//
+// Early exit mirrors the arrival rule of the single-mode kernel,
+// quantified over rungs: stop once every rung has reached every (node,
+// source) pair AND no future arrival (≥ t+1) can undercut a recorded
+// first (t+1 ≥ maxFirst). Rungs that never complete (nowait on a sparse
+// network) keep the sweep running to the horizon — exactly as their
+// independent passes would. Rung retirement is a property of the whole
+// block (remaining counters sum over lanes), so the spectrum retires
+// rungs, not lanes.
+//
+// A non-nil st receives the block's telemetry — contacts examined,
+// cascade expiry checks, mid-sweep rung retirements, early exit, sparse
+// fallback — in one atomic merge after the pass (see DESIGN.md §8). A
+// non-nil cc is the block's cancellation checkpoint, polled every
+// ~CancelCheckInterval work units exactly as in msScratch.run; the
+// abort path merges partial telemetry plus one Cancellations tick.
 func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) (tvg.Time, bool) {
 	n, w, k := s.n, s.w, s.k
 	t0, span, dense := s.t0, s.span, s.dense
@@ -903,75 +883,32 @@ func (s *spScratch) cleanupFrom(c *tvg.ContactSet, t tvg.Time) {
 	}
 }
 
-// WaitSpectrum computes the all-pairs foremost-arrival matrix of every
-// ladder rung in one bit-parallel contact sweep per source block —
-// the batch equivalent of Ladder.Len() AllForemost calls, bit-identical
-// to them per rung (asserted by the randomized differential tests). An
-// empty (zero-value) ladder yields a result with no rungs.
-func WaitSpectrum(c *tvg.ContactSet, ladder Ladder, t0 tvg.Time) *SpectrumResult {
-	return WaitSpectrumParallel(c, ladder, t0, 1)
-}
-
-// WaitSpectrumParallel is WaitSpectrum with the source blocks fanned
-// out across up to `workers` goroutines. Blocks write disjoint row
-// ranges of every rung's matrix, so the result is bit-identical at any
-// worker count.
-func WaitSpectrumParallel(c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, workers int) *SpectrumResult {
-	return WaitSpectrumStats(c, ladder, t0, workers, 0, nil)
-}
-
-// WaitSpectrumStats is WaitSpectrumParallel with an explicit sweep
-// width and optional telemetry. width is the block's lane-word count —
-// 64·W sources per contact pass — clamped to {1, 2, 4, 8}; 0 picks the
-// automatic width from the node count, the worker fan-out and the
-// dense-grid budget (which the spectrum charges ×rungs ×width). Results
-// are bit-identical at every width. When st is non-nil each block folds
-// its local tallies into st once at block end (see obs.SweepStats); a
-// nil st is free.
-func WaitSpectrumStats(c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, workers, width int, st *obs.SweepStats) *SpectrumResult {
-	return waitSpectrum(c, ladder, t0, workers, width, st, nil)
-}
-
-// waitSpectrum is the shared body of WaitSpectrumStats (nil cc) and
-// WaitSpectrumCtx (ctx-backed cc).
-func waitSpectrum(c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, workers, width int, st *obs.SweepStats, cc *canceler) *SpectrumResult {
-	n := c.Graph().NumNodes()
-	k := ladder.Len()
-	res := &SpectrumResult{ladder: ladder, t0: t0, mats: make([]*ArrivalMatrix, k)}
+// newSpectrumResult allocates the k per-rung n×n matrices of a sweep.
+// They are not pre-filled: each block's extract writes every entry of
+// its source rows.
+func newSpectrumResult(ladder Ladder, t0 tvg.Time, n int) *SpectrumResult {
+	res := &SpectrumResult{ladder: ladder, t0: t0, mats: make([]*ArrivalMatrix, ladder.Len())}
 	for r := range res.mats {
-		// No -1 pre-fill: the extraction pass writes every entry
-		// (unreached pairs included), so the matrices are streamed once.
 		res.mats[r] = &ArrivalMatrix{n: n, t0: t0, arr: make([]tvg.Time, n*n)}
 	}
-	if k == 0 || n == 0 {
-		return res
-	}
-	w := normWidth(width, n, spanOf(c, t0), k, workers)
-	if st != nil {
-		st.Width.Set(int64(w))
-	}
-	blockFanOut(getSpScratch, func(s *spScratch) { putSpScratch(s) }, n, workers, w, func(s *spScratch, base, cnt int) {
-		if cc.stopped() {
-			return
-		}
-		s.sweep(c, ladder, base, cnt, t0, w, st, cc)
-		if cc.stopped() {
-			return
-		}
-		s.extractSpectrum(res, base, cnt)
-	})
 	return res
 }
 
-// extractSpectrum transposes the slotted scratch into the per-rung
-// matrices for the source rows [base, base+cnt): rung r's foremost
-// arrival is the prefix-min over the bit's arrival-rung slots ≤ r (a
+// retired implements blockSweep: an empty window, or every rung done.
+func (s *spScratch) retired() bool { return s.span == 0 || s.topActive == 0 }
+
+// release implements blockSweep.
+func (s *spScratch) release() { putSpScratch(s) }
+
+// extract transposes the slotted scratch into the per-rung matrices
+// for the source rows [base, base+cnt): rung r's foremost arrival is
+// the prefix-min over the bit's arrival-rung slots ≤ r (a
 // slot participates once its reached bit is set; reached masks are
 // nested, so the prefix only ever grows). Bit-major order keeps each
 // matrix write stream sequential (a source's row is contiguous); the
 // reached plane re-read per bit stays resident in cache. Every entry is
 // written (unreached pairs get -1), so the matrices need no pre-fill.
-func (s *spScratch) extractSpectrum(res *SpectrumResult, base, cnt int) {
+func (s *spScratch) extract(res *SpectrumResult, base, cnt int) {
 	n, sw, k := s.n, s.w, s.k
 	rows := make([][]tvg.Time, k)
 	for j := 0; j < cnt; j++ {

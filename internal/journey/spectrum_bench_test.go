@@ -22,6 +22,16 @@ func benchLadder8(b *testing.B) Ladder {
 	return ladder
 }
 
+// benchRungs splits a ladder into its one-rung ladders.
+func benchRungs(b *testing.B, ladder Ladder) []Ladder {
+	b.Helper()
+	rungs := make([]Ladder, ladder.Len())
+	for r := range rungs {
+		rungs[r] = rungOf(b, ladder.Mode(r))
+	}
+	return rungs
+}
+
 // BenchmarkWaitSpectrum256 is the headline spectrum benchmark: all
 // eight rung matrices of the K=8 ladder at N=256 edge-Markovian in one
 // sweep per 64-source block. The acceptance target is ≥5× over
@@ -32,7 +42,7 @@ func BenchmarkWaitSpectrum256(b *testing.B) {
 	ladder := benchLadder8(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := WaitSpectrum(c, ladder, 0)
+		res := sweepOf(b, c, ladder, 0, SweepOpts{})
 		if _, ok := res.FirstConnected(); !ok {
 			b.Fatal("benchmark network must be connected at some rung")
 		}
@@ -40,17 +50,17 @@ func BenchmarkWaitSpectrum256(b *testing.B) {
 }
 
 // BenchmarkSpectrumIndependent256 is the before: the same eight rungs
-// as eight independent AllForemost passes — what a K-bound sweep cost
+// as eight independent one-rung sweeps — what a K-bound sweep cost
 // prior to the spectrum sweep (and what engine.Metrics paid per cold
 // multi-mode request).
 func BenchmarkSpectrumIndependent256(b *testing.B) {
 	c := markov256(b)
-	ladder := benchLadder8(b)
+	rungs := benchRungs(b, benchLadder8(b))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		connected := false
-		for r := 0; r < ladder.Len(); r++ {
-			m := AllForemost(c, ladder.Mode(r), 0)
+		for _, rung := range rungs {
+			m := sweepOf(b, c, rung, 0, SweepOpts{}).Arrivals(0)
 			connected = connected || m.Connected()
 		}
 		if !connected {
@@ -83,7 +93,7 @@ func BenchmarkWaitSpectrum256Connected(b *testing.B) {
 	ladder := benchLadder8(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := WaitSpectrum(c, ladder, 0)
+		res := sweepOf(b, c, ladder, 0, SweepOpts{})
 		if first, ok := res.FirstConnected(); !ok || first != 0 {
 			b.Fatalf("benchmark network must be connected at every rung (first=%d, ok=%v)", first, ok)
 		}
@@ -91,21 +101,23 @@ func BenchmarkWaitSpectrum256Connected(b *testing.B) {
 }
 
 // BenchmarkSpectrumIndependent256Connected is the same ladder as eight
-// independent AllForemost passes on the contact-dominated network.
+// independent one-rung sweeps on the contact-dominated network.
 func BenchmarkSpectrumIndependent256Connected(b *testing.B) {
 	c := markovPersistent256(b)
-	ladder := benchLadder8(b)
+	rungs := benchRungs(b, benchLadder8(b))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < ladder.Len(); r++ {
-			AllForemost(c, ladder.Mode(r), 0)
+		for _, rung := range rungs {
+			sweepOf(b, c, rung, 0, SweepOpts{})
 		}
 	}
 }
 
-// BenchmarkWaitSpectrumRungs charts how the single sweep scales with
+// BenchmarkWaitSpectrumRungs charts how the ladder kernel scales with
 // ladder length: the marginal cost of one more rung should be far below
-// one more AllForemost pass.
+// one more single-mode pass. The kernel is forced, so k=1 measures the
+// ladder kernel too (Sweep hands a one-rung ladder to the single-mode
+// kernel).
 func BenchmarkWaitSpectrumRungs(b *testing.B) {
 	c := markov256(b)
 	full := []Mode{
@@ -120,7 +132,7 @@ func BenchmarkWaitSpectrumRungs(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				WaitSpectrum(c, ladder, 0)
+				ladderKernelOf(b, c, ladder, 0, SweepOpts{})
 			}
 		})
 	}

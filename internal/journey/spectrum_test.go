@@ -1,6 +1,7 @@
 package journey
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,22 +31,23 @@ func diffLadders(horizon tvg.Time) map[string][]Mode {
 }
 
 // checkSpectrumMatches pins a spectrum result rung-for-rung to the
-// independent per-mode sweeps: arrival matrices and packed reach
-// bitsets must be bit-identical, and consecutive rungs must be nested
-// (more waiting never loses a pair, never worsens an arrival).
+// independent per-mode sweeps of the single-mode kernel: arrival
+// matrices and packed reach bitsets (against its reach-only mode) must
+// be bit-identical, and consecutive rungs must be nested (more waiting
+// never loses a pair, never worsens an arrival).
 func checkSpectrumMatches(t *testing.T, label string, c *tvg.ContactSet, res *SpectrumResult, t0 tvg.Time) {
 	t.Helper()
 	for i := 0; i < res.NumRungs(); i++ {
 		mode := res.Mode(i)
-		want := AllForemost(c, mode, t0)
+		want := foremostOf(t, c, mode, t0, SweepOpts{})
 		got := res.Arrivals(i)
 		if !slices.Equal(got.arr, want.arr) {
-			t.Fatalf("%s: rung %d (%s) arrival matrix differs from AllForemost", label, i, mode)
+			t.Fatalf("%s: rung %d (%s) arrival matrix differs from the one-rung sweep", label, i, mode)
 		}
-		wantR := ReachabilityMatrix(c, mode, t0)
+		wantR := reachOnlyOf(c, mode, t0, 0)
 		gotR := res.Reach(i)
 		if !slices.Equal(gotR.bits, wantR.bits) {
-			t.Fatalf("%s: rung %d (%s) reach bitset differs from ReachabilityMatrix", label, i, mode)
+			t.Fatalf("%s: rung %d (%s) reach bitset differs from the reach-only kernel", label, i, mode)
 		}
 	}
 	// Nesting invariant across consecutive rungs.
@@ -76,7 +78,9 @@ func checkSpectrumMatches(t *testing.T, label string, c *tvg.ContactSet, res *Sp
 // harness: across the four generator models, horizons, seeds, start
 // times and ladder shapes (degenerate ones included), every rung of the
 // single-sweep spectrum must be bit-identical to an independent
-// AllForemost/ReachabilityMatrix pass under that rung's mode.
+// single-mode pass under that rung's mode. The ladder kernel is run
+// directly too, so one-rung ladders — which Sweep hands to the
+// single-mode kernel — still pin it.
 func TestWaitSpectrumMatchesAllForemost(t *testing.T) {
 	for _, horizon := range []tvg.Time{12, 30, 55} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -88,8 +92,8 @@ func TestWaitSpectrumMatchesAllForemost(t *testing.T) {
 							t.Fatal(err)
 						}
 						label := fmt.Sprintf("%s/h=%d/seed=%d/t0=%d/%s", name, horizon, seed, t0, lname)
-						res := WaitSpectrum(c, ladder, t0)
-						checkSpectrumMatches(t, label, c, res, t0)
+						checkSpectrumMatches(t, label, c, sweepOf(t, c, ladder, t0, SweepOpts{}), t0)
+						checkSpectrumMatches(t, label+"/ladder-kernel", c, ladderKernelOf(t, c, ladder, t0, SweepOpts{}), t0)
 					}
 				}
 			}
@@ -116,7 +120,7 @@ func TestWaitSpectrumBlockBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := WaitSpectrum(c, ladder, 0)
+		res := sweepOf(t, c, ladder, 0, SweepOpts{})
 		checkSpectrumMatches(t, fmt.Sprintf("n=%d", tc.nodes), c, res, 0)
 	}
 }
@@ -155,7 +159,7 @@ func TestWaitSpectrumSparseFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := WaitSpectrum(c, ladder, 0)
+	res := sweepOf(t, c, ladder, 0, SweepOpts{})
 	checkSpectrumMatches(t, "sparse", c, res, 0)
 }
 
@@ -193,14 +197,14 @@ func TestWaitSpectrumEarlyExitReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		res := WaitSpectrum(cDense, denseLadder, 0)
+		res := sweepOf(t, cDense, denseLadder, 0, SweepOpts{})
 		if _, ok := res.FirstConnected(); !ok {
 			t.Fatal("dense static graph must be connected at some rung")
 		}
 		checkSpectrumMatches(t, fmt.Sprintf("dense/round=%d", round), cDense, res, 0)
 		// Immediately reuse the pooled scratch on a different shape,
 		// ladder length and mode mix.
-		res = WaitSpectrum(cSparse, sparseLadder, 0)
+		res = sweepOf(t, cSparse, sparseLadder, 0, SweepOpts{})
 		checkSpectrumMatches(t, fmt.Sprintf("sparse/round=%d", round), cSparse, res, 0)
 	}
 }
@@ -222,9 +226,9 @@ func TestWaitSpectrumParallelMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := WaitSpectrum(c, ladder, 0)
+		want := sweepOf(t, c, ladder, 0, SweepOpts{})
 		for _, workers := range []int{0, 2, 3, 16} {
-			got := WaitSpectrumParallel(c, ladder, 0, workers)
+			got := sweepOf(t, c, ladder, 0, SweepOpts{Workers: workers})
 			for i := 0; i < want.NumRungs(); i++ {
 				if !slices.Equal(got.Arrivals(i).arr, want.Arrivals(i).arr) {
 					t.Fatalf("n=%d workers=%d: rung %d differs from sequential", tc.nodes, workers, i)
@@ -235,7 +239,7 @@ func TestWaitSpectrumParallelMatches(t *testing.T) {
 }
 
 // TestWaitSpectrumEdgeCases pins the corner inputs: empty and singleton
-// graphs, start times past the horizon, zero-value ladders.
+// graphs, start times past the horizon, zero-value ladders (an error).
 func TestWaitSpectrumEdgeCases(t *testing.T) {
 	ladder, err := NewLadder(NoWait(), Wait())
 	if err != nil {
@@ -246,7 +250,7 @@ func TestWaitSpectrumEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := WaitSpectrum(empty, ladder, 0)
+	res := sweepOf(t, empty, ladder, 0, SweepOpts{})
 	if res.NumRungs() != 2 || res.Arrivals(0).NumNodes() != 0 {
 		t.Errorf("empty graph spectrum shape wrong: %d rungs", res.NumRungs())
 	}
@@ -260,7 +264,7 @@ func TestWaitSpectrumEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = WaitSpectrum(c1, ladder, 3)
+	res = sweepOf(t, c1, ladder, 3, SweepOpts{})
 	for i := 0; i < 2; i++ {
 		if arr, ok := res.Arrivals(i).At(0, 0); !ok || arr != 3 {
 			t.Errorf("singleton rung %d At(0,0) = (%d, %v), want (3, true)", i, arr, ok)
@@ -275,15 +279,11 @@ func TestWaitSpectrumEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSpectrumMatches(t, "past-horizon", c2, WaitSpectrum(c2, ladder, 15), 15)
+	checkSpectrumMatches(t, "past-horizon", c2, sweepOf(t, c2, ladder, 15, SweepOpts{}), 15)
 
-	// Zero-value ladder: no rungs, no work.
-	res = WaitSpectrum(c2, Ladder{}, 0)
-	if res.NumRungs() != 0 {
-		t.Errorf("zero ladder spectrum has %d rungs, want 0", res.NumRungs())
-	}
-	if _, ok := res.FirstConnected(); ok {
-		t.Error("zero ladder FirstConnected should be false")
+	// Zero-value ladder: rejected, no work.
+	if res, err := Sweep(context.Background(), c2, Ladder{}, 0, SweepOpts{}); res != nil || err == nil {
+		t.Errorf("zero ladder sweep = (%v, %v), want an error", res, err)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestWaitSpectrumHugeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := WaitSpectrum(c, ladder, 0)
+	res := sweepOf(t, c, ladder, 0, SweepOpts{})
 	checkSpectrumMatches(t, "huge-bound", c, res, 0)
 	hugeM, ok := res.ArrivalsFor(BoundedWait(math.MaxInt64))
 	if !ok {

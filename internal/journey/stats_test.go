@@ -23,10 +23,10 @@ func TestSweepStatsMultiSource(t *testing.T) {
 		wantBlocks := int64((n + blockBits - 1) / blockBits)
 		for _, mode := range []Mode{NoWait(), BoundedWait(3), Wait()} {
 			var st obs.SweepStats
-			got := AllForemostStats(c, mode, 0, 4, 0, &st)
-			want := AllForemostParallel(c, mode, 0, 4)
+			got := foremostOf(t, c, mode, 0, SweepOpts{Workers: 4, Stats: &st})
+			want := foremostOf(t, c, mode, 0, SweepOpts{Workers: 4})
 			if !slices.Equal(got.arr, want.arr) {
-				t.Fatalf("n=%d %s: AllForemostStats result differs from AllForemostParallel", n, mode)
+				t.Fatalf("n=%d %s: result with stats differs from the stats-free sweep", n, mode)
 			}
 			if st.Blocks.Value() != wantBlocks {
 				t.Fatalf("n=%d %s: Blocks = %d, want %d", n, mode, st.Blocks.Value(), wantBlocks)
@@ -38,15 +38,6 @@ func TestSweepStatsMultiSource(t *testing.T) {
 				t.Fatalf("n=%d %s: SparseFallbacks = %d on a dense-grid sweep", n, mode, st.SparseFallbacks.Value())
 			}
 
-			var rst obs.SweepStats
-			gotR := ReachabilityMatrixStats(c, mode, 0, 4, 0, &rst)
-			wantR := ReachabilityMatrixParallel(c, mode, 0, 4)
-			if !slices.Equal(gotR.bits, wantR.bits) {
-				t.Fatalf("n=%d %s: ReachabilityMatrixStats result differs", n, mode)
-			}
-			if rst.Blocks.Value() != wantBlocks {
-				t.Fatalf("n=%d %s: reach Blocks = %d, want %d", n, mode, rst.Blocks.Value(), wantBlocks)
-			}
 		}
 	}
 }
@@ -63,7 +54,7 @@ func TestSweepStatsEarlyExit(t *testing.T) {
 		t.Skip("generator no longer yields a connected burst; early-exit setup invalid")
 	}
 	var st obs.SweepStats
-	AllForemostStats(c, Wait(), 0, 1, 0, &st)
+	foremostOf(t, c, Wait(), 0, SweepOpts{Stats: &st})
 	if st.EarlyExits.Value() != st.Blocks.Value() {
 		t.Fatalf("EarlyExits = %d, want every block (%d) to retire early", st.EarlyExits.Value(), st.Blocks.Value())
 	}
@@ -81,7 +72,7 @@ func TestSweepStatsDueExpiries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st obs.SweepStats
-	AllForemostStats(c, BoundedWait(2), 0, 1, 0, &st)
+	foremostOf(t, c, BoundedWait(2), 0, SweepOpts{Stats: &st})
 	if st.DueExpiries.Value() <= 0 {
 		t.Fatalf("DueExpiries = %d under BoundedWait(2), want > 0", st.DueExpiries.Value())
 	}
@@ -101,11 +92,11 @@ func TestSweepStatsSpectrum(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st obs.SweepStats
-		got := WaitSpectrumStats(c, ladder, 0, 4, 0, &st)
-		want := WaitSpectrumParallel(c, ladder, 0, 4)
+		got := sweepOf(t, c, ladder, 0, SweepOpts{Workers: 4, Stats: &st})
+		want := sweepOf(t, c, ladder, 0, SweepOpts{Workers: 4})
 		for r := 0; r < ladder.Len(); r++ {
 			if !slices.Equal(got.Arrivals(r).arr, want.Arrivals(r).arr) {
-				t.Fatalf("n=%d: rung %d differs between WaitSpectrumStats and WaitSpectrumParallel", n, r)
+				t.Fatalf("n=%d: rung %d differs between the sweeps with and without stats", n, r)
 			}
 		}
 		wantBlocks := int64((n + blockBits - 1) / blockBits)
@@ -149,7 +140,7 @@ func TestSweepStatsSparseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st obs.SweepStats
-	AllForemostStats(c, BoundedWait(100), 0, 2, 0, &st)
+	foremostOf(t, c, BoundedWait(100), 0, SweepOpts{Workers: 2, Stats: &st})
 	if st.SparseFallbacks.Value() != st.Blocks.Value() {
 		t.Fatalf("SparseFallbacks = %d, want one per block (%d)", st.SparseFallbacks.Value(), st.Blocks.Value())
 	}

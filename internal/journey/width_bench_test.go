@@ -43,9 +43,10 @@ func benchWidths(b *testing.B, fn func(b *testing.B, width int)) {
 // node count measure the clamp's overhead floor).
 func BenchmarkWidthAllForemost256(b *testing.B) {
 	c := markov256(b)
+	wait := rungOf(b, Wait())
 	benchWidths(b, func(b *testing.B, width int) {
 		for i := 0; i < b.N; i++ {
-			m := AllForemostStats(c, Wait(), 0, 1, width, nil)
+			m := sweepOf(b, c, wait, 0, SweepOpts{Width: width}).Arrivals(0)
 			if !m.Connected() {
 				b.Fatal("benchmark network must be connected under wait")
 			}
@@ -58,9 +59,10 @@ func BenchmarkWidthAllForemost256(b *testing.B) {
 // the acceptance target is ≥2× from w1 to the widest block.
 func BenchmarkWidthAllForemost1024(b *testing.B) {
 	c := markov1024(b)
+	wait := rungOf(b, Wait())
 	benchWidths(b, func(b *testing.B, width int) {
 		for i := 0; i < b.N; i++ {
-			m := AllForemostStats(c, Wait(), 0, 1, width, nil)
+			m := sweepOf(b, c, wait, 0, SweepOpts{Width: width}).Arrivals(0)
 			if !m.Connected() {
 				b.Fatal("benchmark network must be connected under wait")
 			}
@@ -106,13 +108,13 @@ func benchLadder(b *testing.B) Ladder {
 
 // BenchmarkWidthSpectrum256 sweeps the 4-rung wait spectrum at every
 // width; the rung dimension multiplies the per-contact work, so the
-// stream-scan amortization shows up smaller than in AllForemost.
+// stream-scan amortization shows up smaller than in the one-rung sweep.
 func BenchmarkWidthSpectrum256(b *testing.B) {
 	c := markov256(b)
 	ladder := benchLadder(b)
 	benchWidths(b, func(b *testing.B, width int) {
 		for i := 0; i < b.N; i++ {
-			res := WaitSpectrumStats(c, ladder, 0, 1, width, nil)
+			res := sweepOf(b, c, ladder, 0, SweepOpts{Width: width})
 			if !res.Arrivals(ladder.Len() - 1).Connected() {
 				b.Fatal("benchmark network must be connected under wait")
 			}
@@ -125,7 +127,7 @@ func BenchmarkWidthSpectrum1024(b *testing.B) {
 	ladder := benchLadder(b)
 	benchWidths(b, func(b *testing.B, width int) {
 		for i := 0; i < b.N; i++ {
-			res := WaitSpectrumStats(c, ladder, 0, 1, width, nil)
+			res := sweepOf(b, c, ladder, 0, SweepOpts{Width: width})
 			if !res.Arrivals(ladder.Len() - 1).Connected() {
 				b.Fatal("benchmark network must be connected under wait")
 			}

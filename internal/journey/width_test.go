@@ -61,7 +61,8 @@ func requireSameForemost(tb testing.TB, label string, got, want *ArrivalMatrix) 
 // TestWidthMatchesNarrowAllModels is the width differential harness:
 // across every generator model and waiting regime, each supported width
 // must reproduce the narrow sweep's foremost and reachability output bit
-// for bit — AllForemost, ReachabilityMatrix and every WaitSpectrum rung.
+// for bit — the one-rung sweep, the reach-only kernel TemporallyConnected
+// runs, and every rung of a ladder sweep.
 func TestWidthMatchesNarrowAllModels(t *testing.T) {
 	ladder, err := NewLadder(NoWait(), BoundedWait(2), BoundedWait(5), Wait())
 	if err != nil {
@@ -69,19 +70,19 @@ func TestWidthMatchesNarrowAllModels(t *testing.T) {
 	}
 	for name, c := range widthNetworks(t, 140, 40, 3) {
 		for _, mode := range widthModes() {
-			want := AllForemostStats(c, mode, 0, 1, 1, nil)
-			wantR := ReachabilityMatrixStats(c, mode, 0, 1, 1, nil)
+			want := foremostOf(t, c, mode, 0, SweepOpts{Width: 1})
+			wantR := reachOnlyOf(c, mode, 0, 1)
 			for _, w := range sweepWidths[1:] {
 				label := fmt.Sprintf("%s/%s/w=%d", name, mode, w)
-				requireSameForemost(t, label, AllForemostStats(c, mode, 0, 1, w, nil), want)
-				if got := ReachabilityMatrixStats(c, mode, 0, 1, w, nil); !slices.Equal(got.bits, wantR.bits) {
+				requireSameForemost(t, label, foremostOf(t, c, mode, 0, SweepOpts{Width: w}), want)
+				if got := reachOnlyOf(c, mode, 0, w); !slices.Equal(got.bits, wantR.bits) {
 					t.Fatalf("%s: reachability matrix differs from the W=1 sweep", label)
 				}
 			}
 		}
-		wantS := WaitSpectrumStats(c, ladder, 0, 1, 1, nil)
+		wantS := sweepOf(t, c, ladder, 0, SweepOpts{Width: 1})
 		for _, w := range sweepWidths[1:] {
-			got := WaitSpectrumStats(c, ladder, 0, 1, w, nil)
+			got := sweepOf(t, c, ladder, 0, SweepOpts{Width: w})
 			for r := 0; r < ladder.Len(); r++ {
 				if !slices.Equal(got.Arrivals(r).arr, wantS.Arrivals(r).arr) {
 					t.Fatalf("%s/w=%d: spectrum rung %d differs from the W=1 sweep", name, w, r)
@@ -107,10 +108,10 @@ func TestWidthBlockBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range widthModes() {
-			want := AllForemostStats(c, mode, 0, 1, 1, nil)
+			want := foremostOf(t, c, mode, 0, SweepOpts{Width: 1})
 			for _, w := range sweepWidths[1:] {
 				var st obs.SweepStats
-				got := AllForemostStats(c, mode, 0, 1, w, &st)
+				got := foremostOf(t, c, mode, 0, SweepOpts{Width: w, Stats: &st})
 				requireSameForemost(t, fmt.Sprintf("n=%d/%s/w=%d", n, mode, w), got, want)
 				if st.Width.Value() != int64(w) {
 					t.Fatalf("n=%d/w=%d: Width gauge = %d", n, w, st.Width.Value())
@@ -121,9 +122,9 @@ func TestWidthBlockBoundaries(t *testing.T) {
 				}
 			}
 		}
-		wantS := WaitSpectrumStats(c, ladder, 0, 1, 1, nil)
+		wantS := sweepOf(t, c, ladder, 0, SweepOpts{Width: 1})
 		for _, w := range sweepWidths[1:] {
-			got := WaitSpectrumStats(c, ladder, 0, 1, w, nil)
+			got := sweepOf(t, c, ladder, 0, SweepOpts{Width: w})
 			for r := 0; r < ladder.Len(); r++ {
 				if !slices.Equal(got.Arrivals(r).arr, wantS.Arrivals(r).arr) {
 					t.Fatalf("n=%d/w=%d: spectrum rung %d differs from the W=1 sweep", n, w, r)
@@ -142,10 +143,10 @@ func TestWidthParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range widthModes() {
-		want := AllForemostStats(c, mode, 0, 1, 1, nil)
+		want := foremostOf(t, c, mode, 0, SweepOpts{Width: 1})
 		for _, w := range sweepWidths {
 			for _, workers := range []int{2, 3, 16} {
-				got := AllForemostStats(c, mode, 0, workers, w, nil)
+				got := foremostOf(t, c, mode, 0, SweepOpts{Workers: workers, Width: w})
 				requireSameForemost(t, fmt.Sprintf("%s/w=%d/workers=%d", mode, w, workers), got, want)
 			}
 		}
@@ -182,10 +183,10 @@ func TestWidthSparseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{NoWait(), BoundedWait(5000), Wait()} {
-		want := AllForemostStats(c, mode, 0, 1, 1, nil)
+		want := foremostOf(t, c, mode, 0, SweepOpts{Width: 1})
 		for _, w := range sweepWidths[1:] {
 			var st obs.SweepStats
-			got := AllForemostStats(c, mode, 0, 1, w, &st)
+			got := foremostOf(t, c, mode, 0, SweepOpts{Width: w, Stats: &st})
 			requireSameForemost(t, fmt.Sprintf("sparse/%s/w=%d", mode, w), got, want)
 			if st.SparseFallbacks.Value() != st.Blocks.Value() {
 				t.Fatalf("%s/w=%d: SparseFallbacks = %d, want one per block (%d)",
@@ -219,20 +220,20 @@ func TestWidthEarlyExitReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDense := AllForemostStats(cDense, Wait(), 0, 1, 1, nil)
+	wantDense := foremostOf(t, cDense, Wait(), 0, SweepOpts{Width: 1})
 	if !wantDense.Connected() {
 		t.Fatal("dense static graph must be all-reachable under wait")
 	}
 	wantSparse := map[string]*ArrivalMatrix{}
 	for _, mode := range []Mode{NoWait(), BoundedWait(3)} {
-		wantSparse[mode.String()] = AllForemostStats(cSparse, mode, 0, 1, 1, nil)
+		wantSparse[mode.String()] = foremostOf(t, cSparse, mode, 0, SweepOpts{Width: 1})
 	}
 	for round := 0; round < 3; round++ {
 		for _, w := range sweepWidths[1:] {
-			got := AllForemostStats(cDense, Wait(), 0, 1, w, nil)
+			got := foremostOf(t, cDense, Wait(), 0, SweepOpts{Width: w})
 			requireSameForemost(t, fmt.Sprintf("round=%d/dense/w=%d", round, w), got, wantDense)
 			for _, mode := range []Mode{NoWait(), BoundedWait(3)} {
-				got := AllForemostStats(cSparse, mode, 0, 1, w, nil)
+				got := foremostOf(t, cSparse, mode, 0, SweepOpts{Width: w})
 				requireSameForemost(t, fmt.Sprintf("round=%d/sparse/%s/w=%d", round, mode, w),
 					got, wantSparse[mode.String()])
 			}
@@ -271,9 +272,9 @@ func TestWidthLaneRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AllForemostStats(c, Wait(), 0, 1, 1, nil)
+	want := foremostOf(t, c, Wait(), 0, SweepOpts{Width: 1})
 	var st obs.SweepStats
-	got := AllForemostStats(c, Wait(), 0, 1, 2, &st)
+	got := foremostOf(t, c, Wait(), 0, SweepOpts{Width: 2, Stats: &st})
 	requireSameForemost(t, "lane-retirement", got, want)
 	if st.Width.Value() != 2 {
 		t.Fatalf("Width gauge = %d, want 2", st.Width.Value())
@@ -372,11 +373,11 @@ func TestWidthDenseBudgetRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AllForemostStats(c, BoundedWait(40), 0, 1, 1, nil)
+	want := foremostOf(t, c, BoundedWait(40), 0, SweepOpts{Width: 1})
 
 	// Auto width: narrowed to the widest still-dense block.
 	var auto obs.SweepStats
-	got := AllForemostStats(c, BoundedWait(40), 0, 1, 0, &auto)
+	got := foremostOf(t, c, BoundedWait(40), 0, SweepOpts{Stats: &auto})
 	requireSameForemost(t, "auto width", got, want)
 	if auto.Width.Value() != 4 {
 		t.Fatalf("auto Width = %d, want 4 (the auto cap, still within the ×W grid budget)", auto.Width.Value())
@@ -390,7 +391,7 @@ func TestWidthDenseBudgetRegression(t *testing.T) {
 	// 8-source tail block clamps to one lane, fits the budget again and
 	// stays dense — the clamp must feed the ×W accounting too.
 	var forced obs.SweepStats
-	got = AllForemostStats(c, BoundedWait(40), 0, 1, 8, &forced)
+	got = foremostOf(t, c, BoundedWait(40), 0, SweepOpts{Width: 8, Stats: &forced})
 	requireSameForemost(t, "forced w=8", got, want)
 	if forced.Blocks.Value() != 2 || forced.SparseFallbacks.Value() != 1 {
 		t.Fatalf("forced w=8: Blocks = %d, SparseFallbacks = %d, want 2 blocks with only the full-width one sparse",

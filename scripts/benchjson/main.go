@@ -21,7 +21,9 @@
 // compare against their newest phase), and the command exits non-zero
 // if any fresh ns/op regresses by more than -tolerance percent — the CI
 // regression gate for the bench ledgers. Benchmarks missing from the
-// ledger are reported but do not fail the gate.
+// ledger are reported (NEW) but do not fail the gate on their own; a
+// run in which NO fresh benchmark matches a ledger name fails, so a
+// renamed suite cannot silently drop out of CI.
 //
 // -rebaseline is -compare corrected for host drift. Committed absolute
 // numbers move when the hardware under CI does (a container re-run at
@@ -42,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -120,13 +123,13 @@ func main() {
 	ledger.Entries = append(ledger.Entries, fresh...)
 
 	if *compare != "" {
-		if !runCompare(*compare, fresh, *tolerance) {
+		if !runCompare(os.Stdout, *compare, readLedger(*compare), fresh, *tolerance) {
 			os.Exit(1)
 		}
 		return
 	}
 	if *rebaseline != "" {
-		if !runRebaseline(*rebaseline, fresh, *tolerance) {
+		if !runRebaseline(os.Stdout, *rebaseline, readLedger(*rebaseline), fresh, *tolerance) {
 			os.Exit(1)
 		}
 		return
@@ -139,46 +142,71 @@ func main() {
 	fmt.Println(string(out))
 }
 
-// runCompare checks fresh entries against the committed ledger at path
-// and prints one verdict line per benchmark. It returns false if any
-// matched benchmark's ns/op exceeds its ledger value by more than
-// tolerance percent. When a benchmark name occurs several times in the
-// ledger (multi-phase history), the last — most recently appended —
-// entry is the baseline.
-func runCompare(path string, fresh []Entry, tolerance float64) bool {
+// readLedger loads the committed ledger at path.
+func readLedger(path string) Ledger {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	var old Ledger
-	if err := json.Unmarshal(data, &old); err != nil {
+	var l Ledger
+	if err := json.Unmarshal(data, &l); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", path, err))
 	}
-	baseline := make(map[string]Entry, len(old.Entries))
-	for _, e := range old.Entries {
-		baseline[trimProcSuffix(e.Name)] = e // later entries win
+	return l
+}
+
+// baselines indexes a ledger by benchmark name. When a name occurs
+// several times (multi-phase history), the last — most recently
+// appended — entry is the baseline.
+func baselines(l Ledger) map[string]Entry {
+	m := make(map[string]Entry, len(l.Entries))
+	for _, e := range l.Entries {
+		m[trimProcSuffix(e.Name)] = e // later entries win
 	}
+	return m
+}
+
+// noMatch reports the failure shared by both gates: fresh results, none
+// of them named in the ledger — a renamed or missing suite, which would
+// otherwise pass as all-NEW.
+func noMatch(w io.Writer, path string) bool {
+	fmt.Fprintf(w, "benchjson: no fresh benchmark matches a name in %s (renamed or missing?)\n", path)
+	return false
+}
+
+// runCompare checks fresh entries against the committed ledger old
+// (read from path) and writes one verdict line per benchmark to w. It
+// returns false if stdin held no results, if no result matches a
+// ledger name, or if any matched benchmark's ns/op exceeds its ledger
+// value by more than tolerance percent.
+func runCompare(w io.Writer, path string, old Ledger, fresh []Entry, tolerance float64) bool {
 	if len(fresh) == 0 {
-		fatal(fmt.Errorf("no benchmark results on stdin to compare against %s", path))
+		fmt.Fprintf(w, "benchjson: no benchmark results on stdin to compare against %s\n", path)
+		return false
 	}
-	ok := true
+	baseline := baselines(old)
+	ok, matched := true, 0
 	for _, e := range fresh {
 		base, found := baseline[trimProcSuffix(e.Name)]
 		if !found {
-			fmt.Printf("NEW        %-60s %12.0f ns/op (not in %s)\n", e.Name, e.NsPerOp, path)
+			fmt.Fprintf(w, "NEW        %-60s %12.0f ns/op (not in %s)\n", e.Name, e.NsPerOp, path)
 			continue
 		}
+		matched++
 		delta := 100 * (e.NsPerOp - base.NsPerOp) / base.NsPerOp
 		verdict := "OK"
 		if delta > tolerance {
 			verdict = "REGRESSION"
 			ok = false
 		}
-		fmt.Printf("%-10s %-60s %12.0f ns/op vs %12.0f (%+.1f%%, tolerance %.0f%%)\n",
+		fmt.Fprintf(w, "%-10s %-60s %12.0f ns/op vs %12.0f (%+.1f%%, tolerance %.0f%%)\n",
 			verdict, e.Name, e.NsPerOp, base.NsPerOp, delta, tolerance)
 	}
+	if matched == 0 {
+		return noMatch(w, path)
+	}
 	if !ok {
-		fmt.Printf("benchjson: regression above %.0f%% against %s\n", tolerance, path)
+		fmt.Fprintf(w, "benchjson: regression above %.0f%% against %s\n", tolerance, path)
 	}
 	return ok
 }
@@ -192,23 +220,15 @@ func runCompare(path string, fresh []Entry, tolerance float64) bool {
 // that wrote the ledger passes untouched; a benchmark that regressed
 // relative to its peers still fails. With fewer than three matched
 // benchmarks the median has little to hide behind — keep suites that
-// use this gate at least that wide.
-func runRebaseline(path string, fresh []Entry, tolerance float64) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	var old Ledger
-	if err := json.Unmarshal(data, &old); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", path, err))
-	}
-	baseline := make(map[string]Entry, len(old.Entries))
-	for _, e := range old.Entries {
-		baseline[trimProcSuffix(e.Name)] = e // later entries win
-	}
+// use this gate at least that wide. Like runCompare, it fails when no
+// fresh benchmark matches a ledger name (there is then no drift to
+// measure either).
+func runRebaseline(w io.Writer, path string, old Ledger, fresh []Entry, tolerance float64) bool {
 	if len(fresh) == 0 {
-		fatal(fmt.Errorf("no benchmark results on stdin to rebaseline against %s", path))
+		fmt.Fprintf(w, "benchjson: no benchmark results on stdin to rebaseline against %s\n", path)
+		return false
 	}
+	baseline := baselines(old)
 
 	// Best sample per benchmark across the interleaved repetitions.
 	best := make(map[string]Entry, len(fresh))
@@ -230,15 +250,11 @@ func runRebaseline(path string, fresh []Entry, tolerance float64) bool {
 			ratios = append(ratios, best[name].NsPerOp/base.NsPerOp)
 		}
 	}
-	drift := 1.0
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		drift = ratios[len(ratios)/2]
-		if len(ratios)%2 == 0 {
-			drift = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-		}
+	if len(ratios) == 0 {
+		return noMatch(w, path)
 	}
-	fmt.Printf("benchjson: rebaseline host drift x%.3f (median of %d benchmarks, host %q)\n",
+	drift := median(ratios)
+	fmt.Fprintf(w, "benchjson: rebaseline host drift x%.3f (median of %d benchmarks, host %q)\n",
 		drift, len(ratios), hostFingerprint())
 
 	ok := true
@@ -246,7 +262,7 @@ func runRebaseline(path string, fresh []Entry, tolerance float64) bool {
 		e := best[name]
 		base, found := baseline[name]
 		if !found {
-			fmt.Printf("NEW        %-60s %12.0f ns/op (not in %s)\n", e.Name, e.NsPerOp, path)
+			fmt.Fprintf(w, "NEW        %-60s %12.0f ns/op (not in %s)\n", e.Name, e.NsPerOp, path)
 			continue
 		}
 		rebased := base.NsPerOp * drift
@@ -256,13 +272,24 @@ func runRebaseline(path string, fresh []Entry, tolerance float64) bool {
 			verdict = "REGRESSION"
 			ok = false
 		}
-		fmt.Printf("%-10s %-60s %12.0f ns/op vs %12.0f rebased (%+.1f%%, tolerance %.0f%%)\n",
+		fmt.Fprintf(w, "%-10s %-60s %12.0f ns/op vs %12.0f rebased (%+.1f%%, tolerance %.0f%%)\n",
 			verdict, e.Name, e.NsPerOp, rebased, delta, tolerance)
 	}
 	if !ok {
-		fmt.Printf("benchjson: regression above %.0f%% against rebased %s\n", tolerance, path)
+		fmt.Fprintf(w, "benchjson: regression above %.0f%% against rebased %s\n", tolerance, path)
 	}
 	return ok
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := xs[len(xs)/2]
+	if len(xs)%2 == 0 {
+		m = (xs[len(xs)/2-1] + m) / 2
+	}
+	return m
 }
 
 // hostFingerprint identifies the measuring machine well enough to tell

@@ -51,19 +51,24 @@ type (
 	Journey = journey.Journey
 	// Hop is one edge traversal of a Journey.
 	Hop = journey.Hop
-	// ArrivalMatrix is the all-pairs foremost-arrival table computed by
-	// AllForemost in one bit-parallel contact sweep per 64 sources.
+	// ArrivalMatrix is the all-pairs foremost-arrival table of one
+	// ladder rung, computed by Sweep in one bit-parallel contact sweep
+	// per 64·W sources.
 	ArrivalMatrix = journey.ArrivalMatrix
 	// ReachMatrix is the packed all-pairs temporal reachability
-	// relation computed by ReachabilityMatrix.
+	// relation of one rung (SpectrumResult.Reach).
 	ReachMatrix = journey.ReachMatrix
 	// Ladder is a normalized ladder of waiting budgets — the paper's
 	// inclusion chain L_nowait ⊆ L_wait[d] ⊆ L_wait — built by
-	// NewLadder and swept in one pass by WaitSpectrum.
+	// NewLadder and swept in one pass by Sweep. One mode is a one-rung
+	// ladder.
 	Ladder = journey.Ladder
 	// SpectrumResult holds one foremost-arrival matrix per ladder rung,
-	// computed by a single wait-spectrum contact sweep.
+	// computed by a single contact sweep.
 	SpectrumResult = journey.SpectrumResult
+	// SweepOpts tunes how Sweep runs — worker fan-out, lane width,
+	// telemetry — without changing its result.
+	SweepOpts = journey.SweepOpts
 
 	// Automaton is a TVG-automaton A(G) = (Σ, S, I, E, F).
 	Automaton = core.Automaton
@@ -224,50 +229,18 @@ func TemporalDiameter(c *Compiled, mode Mode, t0 Time) (Time, bool) {
 	return journey.TemporalDiameter(c, mode, t0)
 }
 
-// AllForemost computes the all-pairs foremost-arrival matrix — the
-// batch equivalent of N² Foremost calls, bit-identical to them — in one
-// word-packed contact sweep per 64-source block.
-func AllForemost(c *Compiled, mode Mode, t0 Time) *ArrivalMatrix {
-	return journey.AllForemost(c, mode, t0)
-}
-
-// ReachabilityMatrix computes the packed all-pairs temporal
-// reachability relation (per source, exactly ReachableSet).
-func ReachabilityMatrix(c *Compiled, mode Mode, t0 Time) *ReachMatrix {
-	return journey.ReachabilityMatrix(c, mode, t0)
-}
-
-// AllForemostParallel is AllForemost with the 64-source blocks fanned
-// out across up to `workers` goroutines. The result is bit-identical
-// to the sequential sweep at any worker count.
-func AllForemostParallel(c *Compiled, mode Mode, t0 Time, workers int) *ArrivalMatrix {
-	return journey.AllForemostParallel(c, mode, t0, workers)
-}
-
-// ReachabilityMatrixParallel is ReachabilityMatrix with the 64-source
-// blocks fanned out across up to `workers` goroutines; bit-identical
-// at any worker count.
-func ReachabilityMatrixParallel(c *Compiled, mode Mode, t0 Time, workers int) *ReachMatrix {
-	return journey.ReachabilityMatrixParallel(c, mode, t0, workers)
-}
-
 // NewLadder normalizes waiting modes into a Ladder: sorted from least
 // to most permissive, duplicates (wait[0] ≡ nowait included) collapsed.
 func NewLadder(modes ...Mode) (Ladder, error) { return journey.NewLadder(modes...) }
 
-// WaitSpectrum computes the all-pairs foremost-arrival matrix of every
-// ladder rung in ONE bit-parallel contact sweep per 64-source block —
-// the batch equivalent of Ladder.Len() AllForemost calls, bit-identical
-// to them per rung.
-func WaitSpectrum(c *Compiled, ladder Ladder, t0 Time) *SpectrumResult {
-	return journey.WaitSpectrum(c, ladder, t0)
-}
-
-// WaitSpectrumParallel is WaitSpectrum with the 64-source blocks fanned
-// out across up to `workers` goroutines; bit-identical at any worker
-// count.
-func WaitSpectrumParallel(c *Compiled, ladder Ladder, t0 Time, workers int) *SpectrumResult {
-	return journey.WaitSpectrumParallel(c, ladder, t0, workers)
+// Sweep computes the all-pairs foremost-arrival matrix of every ladder
+// rung in ONE bit-parallel contact sweep per source block — per rung
+// the batch equivalent of N² Foremost calls, bit-identical to them at
+// any SweepOpts. Ask about one mode with a one-rung ladder. A cancelled
+// ctx aborts the sweep within ~one checkpoint interval (~64K contacts)
+// with an error wrapping ErrCanceled; context.Background costs nothing.
+func Sweep(ctx context.Context, c *Compiled, ladder Ladder, t0 Time, o SweepOpts) (*SpectrumResult, error) {
+	return journey.Sweep(ctx, c, ladder, t0, o)
 }
 
 // EnumerateJourneys lists every feasible journey from src (departing no
@@ -350,22 +323,6 @@ func WithCacheTrace(ctx context.Context) (context.Context, *CacheTrace) {
 	return engine.WithCacheTrace(ctx)
 }
 
-// AllForemostStats is AllForemostParallel with an explicit sweep width
-// — the block's 64-source lane-word count, one of {1, 2, 4, 8}, 0 for
-// automatic — and optional sweep telemetry folded into st once per
-// block (nil st is free). Results are bit-identical at every width.
-func AllForemostStats(c *Compiled, mode Mode, t0 Time, workers, width int, st *SweepStats) *ArrivalMatrix {
-	return journey.AllForemostStats(c, mode, t0, workers, width, st)
-}
-
-// WaitSpectrumStats is WaitSpectrumParallel with an explicit sweep
-// width (see AllForemostStats; 0 = automatic) and optional sweep
-// telemetry folded into st once per block (nil st is free). Results
-// are bit-identical at every width.
-func WaitSpectrumStats(c *Compiled, ladder Ladder, t0 Time, workers, width int, st *SweepStats) *SpectrumResult {
-	return journey.WaitSpectrumStats(c, ladder, t0, workers, width, st)
-}
-
 // Cancellation and overload control (see DESIGN.md §10).
 
 // ErrCanceled tags every sweep or flood aborted by its context; errors
@@ -378,22 +335,8 @@ var ErrCanceled = journey.ErrCanceled
 // any matrix memory is allocated.
 var ErrTooLarge = engine.ErrTooLarge
 
-// AllForemostCtx is AllForemostStats with a cancellation checkpoint:
-// a cancelled ctx aborts the sweep within ~one checkpoint interval
-// (~64K contacts) and returns an error wrapping ErrCanceled. With a
-// ctx that never cancels, results are bit-identical to AllForemost.
-func AllForemostCtx(ctx context.Context, c *Compiled, mode Mode, t0 Time, workers, width int, st *SweepStats) (*ArrivalMatrix, error) {
-	return journey.AllForemostCtx(ctx, c, mode, t0, workers, width, st)
-}
-
-// WaitSpectrumCtx is WaitSpectrumStats with a cancellation checkpoint
-// (see AllForemostCtx).
-func WaitSpectrumCtx(ctx context.Context, c *Compiled, ladder Ladder, t0 Time, workers, width int, st *SweepStats) (*SpectrumResult, error) {
-	return journey.WaitSpectrumCtx(ctx, c, ladder, t0, workers, width, st)
-}
-
 // DeliverCtx is Deliver with a cancellation checkpoint threaded into
-// the epidemic flood (see AllForemostCtx).
+// the epidemic flood (see Sweep).
 func DeliverCtx(ctx context.Context, c *Compiled, mode Mode, msg Message) (DeliveryResult, error) {
 	return dtn.SimulateCtx(ctx, c, mode, msg)
 }
@@ -416,26 +359,13 @@ type (
 	BroadcastResult = dtn.BroadcastResult
 )
 
-// AllForemostCheckpointed is AllForemostStats plus a SweepCheckpoint
-// frozen at c's watermark: after extending c with AppendContacts (or
-// Builder.Extend), ck.AllForemost(c2, ...) replays only the appended
-// suffix and returns the matrix a cold sweep of c2 would — bit-identical
-// at every width.
-func AllForemostCheckpointed(c *Compiled, mode Mode, t0 Time, workers, width int, st *SweepStats) (*ArrivalMatrix, *SweepCheckpoint, error) {
-	return journey.AllForemostCheckpointed(c, mode, t0, workers, width, st)
-}
-
-// ReachabilityMatrixCheckpointed is ReachabilityMatrix plus a resumable
-// checkpoint (see AllForemostCheckpointed).
-func ReachabilityMatrixCheckpointed(c *Compiled, mode Mode, t0 Time, workers, width int, st *SweepStats) (*ReachMatrix, *SweepCheckpoint, error) {
-	return journey.ReachabilityMatrixCheckpointed(c, mode, t0, workers, width, st)
-}
-
-// WaitSpectrumCheckpointed is WaitSpectrumStats plus a resumable
-// checkpoint covering every rung of the ladder: one suffix replay
-// refreshes all rung matrices (see AllForemostCheckpointed).
-func WaitSpectrumCheckpointed(c *Compiled, ladder Ladder, t0 Time, workers, width int, st *SweepStats) (*SpectrumResult, *SweepCheckpoint, error) {
-	return journey.WaitSpectrumCheckpointed(c, ladder, t0, workers, width, st)
+// SweepCheckpointed is Sweep plus a SweepCheckpoint frozen at c's
+// watermark: after extending c with AppendContacts (or Builder.Extend),
+// ck.Advance(ctx, c2, workers, st) replays only the appended suffix and
+// returns the result a cold Sweep of c2 would — bit-identical at every
+// width.
+func SweepCheckpointed(ctx context.Context, c *Compiled, ladder Ladder, t0 Time, o SweepOpts) (*SpectrumResult, *SweepCheckpoint, error) {
+	return journey.SweepCheckpointed(ctx, c, ladder, t0, o)
 }
 
 // BroadcastCheckpointed floods from src and returns a FloodCheckpoint
