@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"tvgwait/internal/engine"
+	"tvgwait/internal/journey"
 )
 
 // postJSON posts body to path and decodes the JSON response into v
@@ -133,5 +136,71 @@ func TestIngestErrors(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/simulate",
 		`{"graph": {"model": "stream", "stream": "s"}}`, nil); st != http.StatusBadRequest {
 		t.Errorf("simulate on stream: status = %d, want 400", st)
+	}
+}
+
+// TestStreamReadT0 pins stream reads at a later t0: the request carries
+// no horizon (the stream does), so t0 is checked against the live
+// stream's own window. A read from t0 = 7 answers 200 with the rows of a
+// library Sweep from 7; a t0 past the stream's horizon answers 400.
+func TestStreamReadT0(t *testing.T) {
+	srv, ts := testServer(t, time.Minute, 4)
+	batch := `{"stream": "late", "nodes": 5, "horizon": 40, "contacts": [
+		{"from": 0, "to": 1, "dep": 1, "arr": 2}, {"from": 1, "to": 2, "dep": 3, "arr": 4},
+		{"from": 2, "to": 3, "dep": 5, "arr": 6}, {"from": 3, "to": 4, "dep": 7, "arr": 8},
+		{"from": 4, "to": 0, "dep": 9, "arr": 10}, {"from": 0, "to": 1, "dep": 11, "arr": 12},
+		{"from": 1, "to": 2, "dep": 13, "arr": 15}, {"from": 2, "to": 3, "dep": 16, "arr": 17}]}`
+	if st := postJSON(t, ts.URL+"/contacts", batch, nil); st != http.StatusOK {
+		t.Fatalf("ingest status = %d", st)
+	}
+	set, ok := srv.eng.Load().StreamSet("late")
+	if !ok {
+		t.Fatal("stream not registered")
+	}
+	modes := []journey.Mode{journey.NoWait(), journey.BoundedWait(2), journey.Wait()}
+	ladder, err := journey.NewLadder(modes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := journey.Sweep(context.Background(), set, ladder, 7, journey.SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(endpoint string, rows []engine.ModeMetrics) {
+		t.Helper()
+		if len(rows) != ladder.Len() {
+			t.Fatalf("%s: %d rows, want %d", endpoint, len(rows), ladder.Len())
+		}
+		for r, row := range rows {
+			m := want.Arrivals(r)
+			diam, conn := m.Diameter()
+			if !conn {
+				diam = -1
+			}
+			if row.Mode != ladder.Mode(r).String() || row.ReachablePairs != m.ReachablePairs() ||
+				row.Connected != conn || row.Diameter != diam {
+				t.Fatalf("%s rung %d: row %+v, Sweep from 7 has %d pairs, connected %v, diameter %d",
+					endpoint, r, row, m.ReachablePairs(), conn, diam)
+			}
+		}
+	}
+	var met engine.MetricsReport
+	body := `{"graph": {"model": "stream", "stream": "late"}, "modes": ["nowait", "wait:2", "wait"], "t0": %d}`
+	if st := postJSON(t, ts.URL+"/metrics", fmt.Sprintf(body, 7), &met); st != http.StatusOK {
+		t.Fatalf("metrics at t0 7: status = %d, want 200", st)
+	}
+	check("/metrics", met.Modes)
+	var spec engine.SpectrumReport
+	if st := postJSON(t, ts.URL+"/spectrum", fmt.Sprintf(body, 7), &spec); st != http.StatusOK {
+		t.Fatalf("spectrum at t0 7: status = %d, want 200", st)
+	}
+	check("/spectrum", spec.Rungs)
+	for _, path := range []string{"/metrics", "/spectrum"} {
+		if st := postJSON(t, ts.URL+path, fmt.Sprintf(body, 41), nil); st != http.StatusBadRequest {
+			t.Errorf("%s at t0 past the stream horizon: status = %d, want 400", path, st)
+		}
+		if st := postJSON(t, ts.URL+path, fmt.Sprintf(body, -1), nil); st != http.StatusBadRequest {
+			t.Errorf("%s at negative t0: status = %d, want 400", path, st)
+		}
 	}
 }

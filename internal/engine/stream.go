@@ -388,10 +388,12 @@ func (e *Engine) streamSpectrumRows(ctx context.Context, name string, c *tvg.Con
 
 // staleCheckpoint reports an error that calls for a cold rebuild rather
 // than a failure: the cached checkpoint is on a dead lineage (the stream
-// was re-created, or the entry outlived a sibling branch) or was
-// poisoned by an aborted replay.
+// was re-created, or the entry outlived a sibling branch), was poisoned
+// by an aborted replay, or holds a tick ring too short for a latency the
+// stream has since gained.
 func staleCheckpoint(err error) bool {
-	return errors.Is(err, journey.ErrNotExtension) || errors.Is(err, journey.ErrCheckpointPoisoned)
+	return errors.Is(err, journey.ErrNotExtension) || errors.Is(err, journey.ErrCheckpointPoisoned) ||
+		errors.Is(err, journey.ErrCheckpointStale)
 }
 
 // withCkEntry runs compute against the checkpoint entry for key,

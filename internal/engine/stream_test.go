@@ -270,6 +270,58 @@ func TestStreamRecreateRebuildsCold(t *testing.T) {
 	}
 }
 
+// TestStreamRingOutgrownRebuildsCold: a batch whose latency outgrows a
+// cached checkpoint's tick ring (journey.ErrCheckpointStale) sends the
+// read down the cold path — one more cold build, no advance — and the
+// rows still equal a cold sweep; the rebuilt checkpoint then advances
+// as usual.
+func TestStreamRingOutgrownRebuildsCold(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	ctx := context.Background()
+	const n, horizon = 10, tvg.Time(300)
+	if _, err := e.CreateStream("slow", n, horizon); err != nil {
+		t.Fatal(err)
+	}
+	req := SpectrumRequest{Graph: GraphSpec{Model: "stream", Stream: "slow"}, Modes: []string{"nowait", "wait:3", "wait"}}
+	unit := func(from tvg.Time) []tvg.ContactRecord {
+		var recs []tvg.ContactRecord
+		for i := tvg.Time(0); i < 6; i++ {
+			recs = append(recs, tvg.ContactRecord{From: tvg.Node(i % n), To: tvg.Node((i + 3) % n), Dep: from + i, Arr: from + i + 1})
+		}
+		return recs
+	}
+	// 64 ticks: longer than the ring a unit-latency stream's checkpoint
+	// keeps, and still arriving within the horizon.
+	slow := append(unit(20), tvg.ContactRecord{From: 2, To: 7, Dep: 30, Arr: 94})
+	for i, step := range []struct {
+		batch          []tvg.ContactRecord
+		cold, advances int64
+	}{
+		{unit(0), 1, 0},
+		{unit(10), 1, 1},
+		{slow, 2, 1},
+		{unit(40), 2, 2},
+	} {
+		if _, err := e.AppendStream("slow", step.batch); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		rep, err := e.Spectrum(ctx, req)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if c, a := e.checkpoints.cold.Value(), e.checkpoints.advances.Value(); c != step.cold || a != step.advances {
+			t.Fatalf("batch %d: cold = %d, advances = %d, want %d and %d", i, c, a, step.cold, step.advances)
+		}
+		cold := rebuildCold(t, mustStream(t, e, "slow"))
+		for _, rung := range rep.Rungs {
+			if want := computeModeMetrics(cold, mustParseMode(t, rung.Mode), 0, 1, 0, nil); !reflect.DeepEqual(&rung, want) {
+				t.Fatalf("batch %d rung %s diverges from cold:\ngot  %+v\nwant %+v", i, rung.Mode, rung, *want)
+			}
+		}
+	}
+}
+
 func mustStream(t *testing.T, e *Engine, name string) *tvg.ContactSet {
 	t.Helper()
 	c, ok := e.StreamSet(name)

@@ -8,6 +8,8 @@ package engine
 // proportional to the declared sizes. The engine re-checks on entry;
 // these are a fast pre-filter, not a contract shift.
 
+import "tvgwait/internal/tvg"
+
 // Validate checks the scenario spec (defaults applied first, matching
 // Engine.Run).
 func (s ScenarioSpec) Validate() error {
@@ -20,7 +22,7 @@ func (g GraphSpec) Validate() error {
 }
 
 // Validate checks the metrics request: graph bounds, mode syntax and
-// count, and the t0 window.
+// count, and the t0 window (see validateT0).
 func (r MetricsRequest) Validate() error {
 	if err := r.Graph.validate(); err != nil {
 		return err
@@ -36,14 +38,11 @@ func (r MetricsRequest) Validate() error {
 	if len(parsed) > maxModes {
 		return specErr("at most %d modes, got %d", maxModes, len(parsed))
 	}
-	if r.T0 < 0 || r.T0 > r.Graph.Horizon {
-		return specErr("t0 %d outside [0, %d]", r.T0, r.Graph.Horizon)
-	}
-	return nil
+	return r.Graph.validateT0(r.T0)
 }
 
 // Validate checks the spectrum request: graph bounds, ladder syntax and
-// size, and the t0 window.
+// size, and the t0 window (see validateT0).
 func (r SpectrumRequest) Validate() error {
 	if err := r.Graph.validate(); err != nil {
 		return err
@@ -59,10 +58,7 @@ func (r SpectrumRequest) Validate() error {
 	if len(parsed) > maxModes {
 		return specErr("at most %d modes, got %d", maxModes, len(parsed))
 	}
-	if r.T0 < 0 || r.T0 > r.Graph.Horizon {
-		return specErr("t0 %d outside [0, %d]", r.T0, r.Graph.Horizon)
-	}
-	return nil
+	return r.Graph.validateT0(r.T0)
 }
 
 // Validate checks the journey request: graph bounds, mode and kind
@@ -82,8 +78,16 @@ func (r JourneyRequest) Validate() error {
 	if r.Src < 0 || int(r.Src) >= r.Graph.Nodes || r.Dst < 0 || int(r.Dst) >= r.Graph.Nodes {
 		return specErr("endpoints (%d, %d) outside [0, %d)", r.Src, r.Dst, r.Graph.Nodes)
 	}
-	if r.T0 < 0 || r.T0 > r.Graph.Horizon {
-		return specErr("t0 %d outside [0, %d]", r.T0, r.Graph.Horizon)
+	return r.Graph.validateT0(r.T0)
+}
+
+// validateT0 checks a request's t0 against the spec's window. A stream
+// spec declares no horizon (the live stream carries its own), so only
+// t0 ≥ 0 is checked here; ladderRows checks the upper end against the
+// stream's real horizon once it has resolved the stream.
+func (g GraphSpec) validateT0(t0 tvg.Time) error {
+	if t0 < 0 || (g.Model != "stream" && t0 > g.Horizon) {
+		return specErr("t0 %d outside [0, %d]", t0, g.Horizon)
 	}
 	return nil
 }

@@ -19,6 +19,13 @@ package journey
 // width and worker count (pinned by the randomized differential and
 // fuzz suites in checkpoint_test.go).
 //
+// The pending grid is a tick ring sized for the latencies the stream
+// had when the checkpoint was taken, with ckMinRing ticks of headroom
+// (see checkpointRing). An extension whose MaxLatency outgrows it
+// cannot be replayed into that ring: Advance reports
+// ErrCheckpointStale, and the caller rebuilds cold on a ring sized for
+// the new stream.
+//
 // A checkpoint pins its lane width at creation and owns dedicated
 // (never pooled) scratches, so its memory is stable and reportable
 // (SizeBytes) and a resume cannot observe another sweep's leftovers. It
@@ -40,6 +47,12 @@ import (
 // state was torn by a cancelled (or otherwise aborted) earlier resume.
 var ErrCheckpointPoisoned = errors.New("journey: checkpoint poisoned by an aborted sweep")
 
+// ErrCheckpointStale is returned by a resume whose contact set carries a
+// latency longer than the checkpoint's pending ring holds. The
+// checkpoint is unchanged, but it cannot replay that set; a cold
+// SweepCheckpointed of it sizes a ring that can.
+var ErrCheckpointStale = errors.New("journey: contact latency outgrows the checkpoint's tick ring")
+
 // ErrNotExtension is returned when the contact set passed to a resume
 // does not extend the checkpointed revision (different lineage, earlier
 // revision, or different shape). The checkpoint itself stays valid for
@@ -56,6 +69,7 @@ type SweepCheckpoint struct {
 	width    int // resolved lane width, pinned across resumes
 	n        int
 	set      *tvg.ContactSet // revision last swept
+	ring     tickRing        // every block's pending ring
 	doneTick tvg.Time        // last processed tick (t0-1 before any contact)
 	poisoned bool
 	blocks   []blockSweep
@@ -129,9 +143,10 @@ func SweepCheckpointed(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0
 		return nil, nil, cc.err()
 	}
 	n := c.Graph().NumNodes()
-	w := o.width(c, t0, ladder.Len())
+	ring := checkpointRing(c, t0)
+	w := o.width(n, ring, ladder.Len())
 	ck := &SweepCheckpoint{
-		ladder: ladder, t0: t0, width: w, n: n, set: c, doneTick: ckUpTo(c, t0),
+		ladder: ladder, t0: t0, width: w, n: n, set: c, ring: ring, doneTick: ckUpTo(c, t0),
 		blocks: make([]blockSweep, (n+w*blockBits-1)/(w*blockBits)),
 	}
 	k := kernelFor(ladder)
@@ -142,7 +157,7 @@ func SweepCheckpointed(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0
 		}
 		s := k(false)
 		ck.blocks[i] = s
-		s.begin(c, ladder, base, cnt, t0, w)
+		s.begin(c, ladder, base, cnt, t0, w, ring)
 		if windowed {
 			s.run(c, t0, ck.doneTick, o.Stats, cc)
 		}
@@ -153,7 +168,8 @@ func SweepCheckpointed(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0
 	return ck.extract(), ck, nil
 }
 
-// Advance validates that c2 extends the checkpointed revision, replays
+// Advance validates that c2 extends the checkpointed revision and that
+// its latencies fit the pending ring (else ErrCheckpointStale), replays
 // the suffix window (doneTick, watermark(c2)] through every block and
 // re-extracts every rung's matrix — bit-identical to a cold Sweep of
 // c2. Passing the revision already swept is legal and re-extracts
@@ -167,6 +183,9 @@ func (ck *SweepCheckpoint) Advance(ctx context.Context, c2 *tvg.ContactSet, work
 	}
 	if !c2.Extends(ck.set) {
 		return nil, ErrNotExtension
+	}
+	if !ck.ring.holds(c2.MaxLatency()) {
+		return nil, ErrCheckpointStale
 	}
 	cc := newCanceler(ctx)
 	if cc != nil && cc.poll() {

@@ -49,7 +49,7 @@ func TemporalDiameter(c *tvg.ContactSet, mode Mode, t0 tvg.Time) (tvg.Time, bool
 	if !mode.IsValid() {
 		return 0, false
 	}
-	w := autoWidth(n, spanOf(c, t0), 1, 1)
+	w := autoWidth(n, pendingRing(c, t0).n, 1, 1)
 	s := getMsScratch()
 	defer putMsScratch(s)
 	var worst tvg.Time

@@ -28,6 +28,12 @@ package journey
 //     table — survive the clear. This is the due-bucket idea of
 //     dtn.Scratch, word-packed.
 //
+// Neither the pending grid nor the buckets span the horizon: an arrival
+// is in flight for at most MaxLatency ticks and an expiry check waits
+// at most d+1, so both live in tick rings (tickRing) a few ticks long,
+// and a sweep's memory follows its contacts and its waiting window
+// rather than its horizon.
+//
 // Foremost arrivals are recorded per (src, dst) the first time a bit is
 // newly buffered for a node, with a min-update for the rare
 // out-of-order case where a later departure arrives earlier (variable
@@ -71,20 +77,20 @@ const (
 	laneMask  = 1<<laneShift - 1
 )
 
-// msDenseCellLimit bounds the nodes × span × width pending-arrival
-// grid (in uint64 words) a sweep will allocate. Above it (huge horizons
-// on many nodes) the sweep falls back to a hash map, trading speed for
-// bounded memory — the same escape hatch as dtn's denseCellLimit. The
-// budget is charged for the full ×W lane growth, and the auto-width
-// rule narrows a block before it would push an affordable dense grid
-// into the sparse path.
+// msDenseCellLimit bounds the nodes × ring × width pending-arrival
+// grid (in uint64 words) a sweep will allocate. Above it (long in-flight
+// latencies on many nodes) the sweep falls back to a hash map, trading
+// speed for bounded memory — the same escape hatch as dtn's
+// denseCellLimit. The budget is charged for the full ×W lane growth,
+// and the auto-width rule narrows a block before it would push an
+// affordable dense grid into the sparse path.
 const msDenseCellLimit = 1 << 23
 
 // msMaxRetainedBytes caps the arena footprint a sweep scratch may carry
-// back into its pool. One wide, large-horizon sweep can grow a scratch
-// to hundreds of MB; retaining that for the process lifetime is worse
-// than re-allocating on the next oversized sweep, so Put drops such
-// scratches on the floor instead.
+// back into its pool. One wide sweep with a long in-flight latency can
+// grow a scratch to hundreds of MB; retaining that for the process
+// lifetime is worse than re-allocating on the next oversized sweep, so
+// Put drops such scratches on the floor instead.
 const msMaxRetainedBytes = 128 << 20
 
 // ArrivalMatrix is the all-pairs foremost-arrival table of a contact
@@ -221,8 +227,8 @@ func (m *ReachMatrix) ReachablePairs() int {
 func (m *ReachMatrix) AllOnes() bool { return m.ReachablePairs() == m.n*m.n }
 
 // msExpire is one scheduled frontier expiry: the word that came due for
-// lane row nl (node<<laneShift | lane) at the tick d+1 before the
-// bucket it sits in.
+// lane row nl (node<<laneShift | lane) at the tick d+1 before the one
+// its bucket is drained at.
 type msExpire struct {
 	nl   int32
 	word uint64
@@ -233,11 +239,13 @@ type msExpire struct {
 // words a contact touches for one node are adjacent, so an 8-lane block
 // reads one cache line where 8 narrow blocks would read 8 — and the
 // per-bit tables keep the [node*64*w + j] slot indexing of the narrow
-// sweep with j = lane*64 + bit. The pending grid and the due/expire
-// buckets are self-cleaning: every cell written is zeroed when its tick
-// is drained (or by the post-loop cleanup on early exit), so reuse
-// needs no O(nodes × span × w) clear — and an all-zero grid is layout-
-// independent, so a pooled scratch can change width between sweeps.
+// sweep with j = lane*64 + bit. The pending grid and the due buckets
+// share one tick ring (ring), the expire buckets another (eRing). Both
+// are self-cleaning: every cell written is zeroed when its tick is
+// drained (or by the post-loop cleanup on early exit), so reuse needs
+// no O(nodes × ring × w) clear — and an all-zero grid is layout-
+// independent, so a pooled scratch can change width or ring between
+// sweeps.
 type msScratch struct {
 	w       int              // lane words per node of the current sweep
 	win     []uint64         // [v*w+l]: sources whose copy is usable this tick
@@ -246,10 +254,10 @@ type msScratch struct {
 	anyWin  []uint64         // [v]: OR of v's live lane words (contact-gate filter)
 	first   []tvg.Time       // [(v*w+l)*64+bit]: earliest arrival (valid iff reached)
 	lastArr []tvg.Time       // [(v*w+l)*64+bit]: latest due arrival (bounded modes)
-	grid    []uint64         // dense [(v*span+idx)*w+l] pending-arrival words
+	grid    []uint64         // dense [(v*ring.n+slot)*w+l] pending-arrival words
 	sparse  map[int64]uint64 // fallback for oversized grids
-	due     [][]int32        // per tick: lane rows (nl) with a pending word
-	expire  [][]msExpire     // per tick: words whose window may have ended
+	due     [][]int32        // per ring slot: lane rows (nl) with a pending word
+	expire  [][]msExpire     // per eRing slot: words whose window may have ended
 
 	sparsePeak int // high-water len(sparse): map buckets never shrink
 
@@ -259,12 +267,14 @@ type msScratch struct {
 	maxFirst  [maxSweepWidth]tvg.Time // per lane: upper bound on recorded first arrivals
 	laneDone  [maxSweepWidth]bool     // per lane: retired (live words zeroed, folds skipped)
 
-	// Sweep parameters, fixed by begin and read by run/cleanupFrom — a
+	// Sweep parameters, fixed by begin and read by run/cleanup — a
 	// resumable sweep (SweepCheckpoint) spans several run calls and must
 	// see the same window geometry in each.
 	n        int
 	t0       tvg.Time
 	span     int64
+	ring     tickRing // pending grid and due buckets
+	eRing    tickRing // expire buckets (bounded modes)
 	dense    bool
 	arrivals bool
 	d        tvg.Time
@@ -289,7 +299,7 @@ func putMsScratch(s *msScratch) bool {
 
 // retainedBytes estimates the scratch's pinned footprint. The flat
 // arenas (masks, per-bit tables, dense grid) dominate and are exact;
-// the per-tick bucket backbones are charged by header, and the sparse
+// the per-slot bucket backbones are charged by header, and the sparse
 // map — whose buckets never shrink — by its high-water entry count.
 func (s *msScratch) retainedBytes() int64 {
 	words := int64(cap(s.win)) + int64(cap(s.reached)) + int64(cap(s.inHoriz)) +
@@ -301,13 +311,15 @@ func (s *msScratch) retainedBytes() int64 {
 	return b
 }
 
-// prepare sizes the buffers for n nodes × w lanes and a span-tick
-// window and clears the per-node masks. first and lastArr need no
-// clearing: first is only read for bits marked reached this sweep,
-// lastArr only for bits that came due this sweep — both invariants are
-// layout-local, so they survive width changes between sweeps.
-func (s *msScratch) prepare(n, w int, span int64, dense bool) {
+// prepare sizes the buffers for n nodes × w lanes, the pending ring and
+// the expire ring, and clears the per-node masks. first and lastArr
+// need no clearing: first is only read for bits marked reached this
+// sweep, lastArr only for bits that came due this sweep — both
+// invariants are layout-local, so they survive width changes between
+// sweeps.
+func (s *msScratch) prepare(n, w int, ring, eRing tickRing, dense bool) {
 	s.w = w
+	s.ring, s.eRing = ring, eRing
 	rows := n * w
 	if len(s.win) < rows {
 		s.win = make([]uint64, rows)
@@ -325,14 +337,16 @@ func (s *msScratch) prepare(n, w int, span int64, dense bool) {
 	} else {
 		clear(s.anyWin[:n])
 	}
-	if span > 0 {
-		if int64(len(s.due)) < span {
-			s.due = make([][]int32, span)
-			s.expire = make([][]msExpire, span)
-		}
+	if int64(len(s.due)) < ring.n {
+		s.due = make([][]int32, ring.n)
+	}
+	if int64(len(s.expire)) < eRing.n {
+		s.expire = make([][]msExpire, eRing.n)
+	}
+	if ring.n > 0 {
 		if dense {
-			if int64(len(s.grid)) < int64(n)*span*int64(w) {
-				s.grid = make([]uint64, int64(n)*span*int64(w))
+			if int64(len(s.grid)) < int64(n)*ring.n*int64(w) {
+				s.grid = make([]uint64, int64(n)*ring.n*int64(w))
 			}
 		} else if s.sparse == nil {
 			s.sparse = make(map[int64]uint64)
@@ -340,11 +354,11 @@ func (s *msScratch) prepare(n, w int, span int64, dense bool) {
 	}
 }
 
-// markPending records "bits w arrive in lane row nl at window tick idx"
-// (key is the row's grid cell, (node*span+idx)*width + lane) and
+// markPending records "bits w arrive in lane row nl at ring slot slot"
+// (key is the row's grid cell, (node*ring.n+slot)*width + lane) and
 // returns the bits not already pending there. The first mark of a cell
-// schedules the row in that tick's due bucket.
-func (s *msScratch) markPending(nl int32, key, idx int64, w uint64, dense bool) uint64 {
+// schedules the row in that slot's due bucket.
+func (s *msScratch) markPending(nl int32, key, slot int64, w uint64, dense bool) uint64 {
 	if dense {
 		old := s.grid[key]
 		nw := w &^ old
@@ -352,7 +366,7 @@ func (s *msScratch) markPending(nl int32, key, idx int64, w uint64, dense bool) 
 			return 0
 		}
 		if old == 0 {
-			s.due[idx] = append(s.due[idx], nl)
+			s.due[slot] = append(s.due[slot], nl)
 		}
 		s.grid[key] = old | nw
 		return nw
@@ -363,7 +377,7 @@ func (s *msScratch) markPending(nl int32, key, idx int64, w uint64, dense bool) 
 		return 0
 	}
 	if old == 0 {
-		s.due[idx] = append(s.due[idx], nl)
+		s.due[slot] = append(s.due[slot], nl)
 	}
 	s.sparse[key] = old | nw
 	if len(s.sparse) > s.sparsePeak {
@@ -372,10 +386,10 @@ func (s *msScratch) markPending(nl int32, key, idx int64, w uint64, dense bool) 
 	return nw
 }
 
-// takePending reads and clears lane row nl's pending word at window
-// tick idx.
-func (s *msScratch) takePending(nl int32, idx, span int64, dense bool) uint64 {
-	key := (int64(nl>>laneShift)*span+idx)*int64(s.w) + int64(nl&laneMask)
+// takePending reads and clears lane row nl's pending word at ring slot
+// slot.
+func (s *msScratch) takePending(nl int32, slot int64, dense bool) uint64 {
+	key := (int64(nl>>laneShift)*s.ring.n+slot)*int64(s.w) + int64(nl&laneMask)
 	if dense {
 		w := s.grid[key]
 		s.grid[key] = 0
@@ -465,27 +479,28 @@ func (s *msScratch) recordReached(row, l int, w uint64) {
 // nil-check per tick and leaves results bit-identical to the
 // pre-cancellation sweep.
 func (s *msScratch) sweep(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int, st *obs.SweepStats, cc *canceler) {
-	s.beginMode(c, mode, base, cnt, t0, arrivals, width)
+	s.beginMode(c, mode, base, cnt, t0, arrivals, width, pendingRing(c, t0))
 	if s.span == 0 {
 		if st != nil {
 			st.Blocks.Inc()
 		}
 		return
 	}
-	t, _ := s.run(c, t0, c.Horizon(), st, cc)
+	s.run(c, t0, c.Horizon(), st, cc)
 	// Cleanup after an early exit or a cancellation abort: zero the
 	// never-drained pending cells so the grid is all-zero for the next
 	// sweep.
-	s.cleanupFrom(c, t)
+	s.cleanup()
 }
 
 // beginMode prepares the scratch for the block [base, base+cnt) and
 // seeds the sources; the tick loop itself is run. A sweep is beginMode
-// + one or more run calls over adjacent tick windows + cleanupFrom
-// where the last run stopped — sweep does all three at once, a
-// SweepCheckpoint keeps the scratch between run calls and replays only
-// the suffix of an extended contact stream.
-func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int) {
+// + one or more run calls over adjacent tick windows + cleanup — sweep
+// does all three at once, a SweepCheckpoint keeps the scratch between
+// run calls and replays only the suffix of an extended contact stream,
+// whose latencies must fit ring (the pending ring, sized by the caller:
+// pendingRing or checkpointRing).
+func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tvg.Time, arrivals bool, width int, ring tickRing) {
 	n := c.Graph().NumNodes()
 	horizon := c.Horizon()
 	span := spanOf(c, t0)
@@ -496,9 +511,13 @@ func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tv
 	if maxW := (cnt + blockBits - 1) / blockBits; w > maxW {
 		w = maxW
 	}
-	dense := span > 0 && int64(n)*span*int64(w) <= msDenseCellLimit
-	s.prepare(n, w, span, dense)
+	dense := ring.n > 0 && int64(n)*ring.n*int64(w) <= msDenseCellLimit
 	d, finite := mode.Bound()
+	var eRing tickRing
+	if finite {
+		eRing = expireRing(d, span)
+	}
+	s.prepare(n, w, ring, eRing, dense)
 	s.n, s.t0, s.span, s.dense = n, t0, span, dense
 	s.arrivals, s.d, s.finite = arrivals, d, finite
 
@@ -528,7 +547,7 @@ func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tv
 			}
 		}
 		if span > 0 {
-			s.markPending(int32(src)<<laneShift|int32(l), int64(src)*span*int64(w)+int64(l), 0, bit, dense)
+			s.markPending(int32(src)<<laneShift|int32(l), int64(src)*ring.n*int64(w)+int64(l), 0, bit, dense)
 		}
 	}
 }
@@ -537,16 +556,16 @@ func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tv
 // retirement, due drains, expiries and the contacts departing in the
 // window. It does NOT clean the pending grid past its stopping point —
 // the caller either resumes with a later run (whose window must start
-// exactly where this one stopped) or calls cleanupFrom. Returns the
-// first unprocessed tick (upTo+1, or earlier on retirement/abort) and
-// whether cc aborted the loop mid-tick (after which the scratch state
-// is torn and must not be resumed). State at any window boundary is
-// identical to a single run over the union window — the checkpoint
-// suffix-replay invariant — because every tick's processing reads only
-// the scratch and the contacts departing at that tick.
-func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) (tvg.Time, bool) {
+// exactly where this one stopped) or calls cleanup. A run that cc
+// aborts mid-tick leaves the scratch torn: it must not be resumed (the
+// caller sees cc.stopped()). State at any window boundary is identical
+// to a single run over the union window — the checkpoint suffix-replay
+// invariant — because every tick's processing reads only the scratch
+// and the contacts departing at that tick.
+func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) {
 	n, w := s.n, s.w
-	t0, span, dense := s.t0, s.span, s.dense
+	t0, dense := s.t0, s.dense
+	ringN, mask, eMask := s.ring.n, s.ring.mask, s.eRing.mask
 	arrivals, d, finite := s.arrivals, s.d, s.finite
 	horizon := c.Horizon()
 	contacts := c.Contacts()
@@ -603,13 +622,14 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			break
 		}
 		idx := int64(t - t0)
+		slot := idx & mask
 
 		// 1. Pending arrivals at t come due: fold into the live masks,
 		// stamp the latest-arrival table, and (for finite budgets)
 		// schedule the expiry of this word d+1 ticks out. Retired lanes
 		// only have their cells zeroed, keeping the grid self-cleaning.
-		for _, nl := range s.due[idx] {
-			wd := s.takePending(nl, idx, span, dense)
+		for _, nl := range s.due[slot] {
+			wd := s.takePending(nl, slot, dense)
 			l := int(nl & laneMask)
 			if s.laneDone[l] {
 				continue
@@ -624,12 +644,12 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 					s.lastArr[fb+bits.TrailingZeros64(mw)] = t
 				}
 				if horizon-t > d { // else the window outlives the sweep
-					eidx := idx + int64(d) + 1
-					s.expire[eidx] = append(s.expire[eidx], msExpire{nl: nl, word: wd})
+					es := (idx + int64(d) + 1) & eMask
+					s.expire[es] = append(s.expire[es], msExpire{nl: nl, word: wd})
 				}
 			}
 		}
-		s.due[idx] = s.due[idx][:0]
+		s.due[slot] = s.due[slot][:0]
 
 		// 2. Expire words whose window [a, a+d] ended last tick. Bits
 		// refreshed by a newer arrival (lastArr ≥ t−d) survive. Runs
@@ -637,8 +657,9 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		// shrunk live word invalidates the node's gate word, which is
 		// rebuilt from the surviving lanes.
 		if finite {
-			expired += int64(len(s.expire[idx]))
-			for _, e := range s.expire[idx] {
+			es := idx & eMask
+			expired += int64(len(s.expire[es]))
+			for _, e := range s.expire[es] {
 				l := int(e.nl & laneMask)
 				if s.laneDone[l] {
 					continue
@@ -665,7 +686,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 					s.anyWin[v] = any
 				}
 			}
-			s.expire[idx] = s.expire[idx][:0]
+			s.expire[es] = s.expire[es][:0]
 		}
 
 		// 3. Contacts departing at t forward every usable copy of their
@@ -686,8 +707,8 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			fb := int(ct.From) * w
 			to := int(ct.To)
 			if ct.Arr <= horizon {
-				arrIdx := int64(ct.Arr - t0)
-				cellBase := (int64(to)*span + arrIdx) * int64(w)
+				aslot := int64(ct.Arr-t0) & mask
+				cellBase := (int64(to)*ringN + aslot) * int64(w)
 				if dense {
 					// Inlined dense markPending: the grid probe, the due
 					// scheduling and the dedup are three array ops per live
@@ -704,7 +725,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 							continue
 						}
 						if old == 0 {
-							s.due[arrIdx] = append(s.due[arrIdx], int32(to)<<laneShift|int32(l))
+							s.due[aslot] = append(s.due[aslot], int32(to)<<laneShift|int32(l))
 						}
 						s.grid[cellBase+int64(l)] = old | nw
 						row := to*w + l
@@ -721,7 +742,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 						if mfrom == 0 {
 							continue
 						}
-						nw := s.markPending(int32(to)<<laneShift|int32(l), cellBase+int64(l), arrIdx, mfrom, false)
+						nw := s.markPending(int32(to)<<laneShift|int32(l), cellBase+int64(l), aslot, mfrom, false)
 						if nw == 0 {
 							continue
 						}
@@ -774,33 +795,30 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			st.SparseFallbacks.Inc()
 		}
 	}
-	return t, aborted
 }
 
-// cleanupFrom zeroes the pending cells and due/expire buckets of every
-// tick in [t, horizon], restoring the all-zero-grid invariant a pooled
-// scratch must uphold after an early exit or an abort. A checkpointed
-// sweep skips it while live — the undrained cells past the watermark
-// ARE the state the resume drains.
-func (s *msScratch) cleanupFrom(c *tvg.ContactSet, t tvg.Time) {
-	horizon := c.Horizon()
-	span, dense := s.span, s.dense
-	for ; t <= horizon; t++ {
-		idx := int64(t - s.t0)
-		for _, nl := range s.due[idx] {
-			s.takePending(nl, idx, span, dense)
+// cleanup zeroes the pending cells and empties the due and expire
+// buckets of every ring slot, restoring the all-zero-grid invariant a
+// pooled scratch must uphold after an early exit or an abort. The rings
+// hold every tick a sweep still has state for, so this is O(ring). A
+// checkpointed sweep skips it while live — the undrained cells past the
+// watermark ARE the state the resume drains.
+func (s *msScratch) cleanup() {
+	for slot := range s.ring.n {
+		for _, nl := range s.due[slot] {
+			s.takePending(nl, slot, s.dense)
 		}
-		s.due[idx] = s.due[idx][:0]
-		if s.finite {
-			s.expire[idx] = s.expire[idx][:0]
-		}
+		s.due[slot] = s.due[slot][:0]
+	}
+	for slot := range s.eRing.n {
+		s.expire[slot] = s.expire[slot][:0]
 	}
 }
 
 // begin implements blockSweep: the single-mode kernel answers a
 // one-rung ladder, foremost arrivals recorded.
-func (s *msScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int) {
-	s.beginMode(c, ladder.Mode(0), base, cnt, t0, true, width)
+func (s *msScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int, ring tickRing) {
+	s.beginMode(c, ladder.Mode(0), base, cnt, t0, true, width, ring)
 }
 
 // extract scatters the block's recorded firsts into the source rows
@@ -848,8 +866,70 @@ func spanOf(c *tvg.ContactSet, t0 tvg.Time) int64 {
 	return 0
 }
 
+// tickRing is a circular run of tick-indexed slots over a sweep window:
+// window index idx (t − t0) lives in slot idx&mask. A sweep only holds
+// state for a bounded stretch of ticks from the one it is processing —
+// in-flight arrivals at most MaxLatency ticks ahead, expiry checks at
+// most d+1 — so a power-of-two ring just past that stretch suffices,
+// whatever the horizon. A ring that would be at least as long as the
+// window is the window itself, unwrapped (mask −1, slot = idx), so a
+// ring never has more slots than the window has ticks.
+type tickRing struct {
+	n    int64 // slots
+	mask int64 // slot = idx & mask; −1 when the ring is the whole window
+}
+
+// newTickRing returns the ring for state held from the current tick up
+// to ahead ticks later (ahead+1 distinct ticks at once) over a span-tick
+// window. ahead is clamped by the caller to at most span.
+func newTickRing(ahead, span int64) tickRing {
+	n := int64(1)
+	for n <= ahead && n < span {
+		n <<= 1
+	}
+	if n >= span {
+		return tickRing{n: span, mask: -1}
+	}
+	return tickRing{n: n, mask: n - 1}
+}
+
+// holds reports whether the ring can carry state lat ticks ahead of the
+// current tick — always, for an unwrapped ring, since no arrival lands
+// past the window.
+func (r tickRing) holds(lat tvg.Time) bool { return r.mask < 0 || int64(lat) < r.n }
+
+// pendingRing is the ring of a sweep of c from t0 for the pending grid
+// and the due buckets: a contact departing at t arrives in-horizon at
+// most c.MaxLatency() ticks later.
+func pendingRing(c *tvg.ContactSet, t0 tvg.Time) tickRing {
+	span := spanOf(c, t0)
+	return newTickRing(min(int64(c.MaxLatency()), span), span)
+}
+
+// ckMinRing is the shortest pending ring a checkpoint keeps. A one-shot
+// sweep knows every latency it will see; a checkpoint must also take
+// the batches appended after it, and a stream that starts empty (or
+// with unit latencies) would otherwise outgrow its ring — and rebuild
+// cold — on its first longer contact. Sixteen ticks cost n·16·W·K
+// words per block, a few hundred KB at the engine's largest shapes.
+const ckMinRing = 16
+
+// checkpointRing is pendingRing with ckMinRing ticks of headroom.
+func checkpointRing(c *tvg.ContactSet, t0 tvg.Time) tickRing {
+	span := spanOf(c, t0)
+	return newTickRing(min(max(int64(c.MaxLatency()), ckMinRing-1), span), span)
+}
+
+// expireRing is the ring for the expire buckets of a bounded budget d:
+// a word that comes due at t schedules its check at t+d+1 (a rung's
+// cascade check lands no further out than the largest budget's own).
+func expireRing(d tvg.Time, span int64) tickRing {
+	return newTickRing(min(int64(d), span)+1, span)
+}
+
 // autoWidth picks the lane-word count W ∈ {1, 2, 4} of a sweep (W=8 is
-// explicit-only; see autoMaxWidth). Three pressures, applied in order:
+// explicit-only; see autoMaxWidth) whose pending grid is ring ticks
+// long. Three pressures, applied in order:
 //
 //   - Node count: widen while extra lanes absorb whole 64-source passes
 //     (n > w·64) — a wider block than the source count is pure waste.
@@ -864,7 +944,7 @@ func spanOf(c *tvg.ContactSet, t0 tvg.Time) int64 {
 //
 // rungs is 1 for the single-mode sweeps and the ladder length for the
 // spectrum, whose grid carries one word per rung.
-func autoWidth(n int, span int64, rungs, workers int) int {
+func autoWidth(n int, ring int64, rungs, workers int) int {
 	w := 1
 	for w < autoMaxWidth && n > w*blockBits {
 		w *= 2
@@ -874,8 +954,8 @@ func autoWidth(n int, span int64, rungs, workers int) int {
 			w /= 2
 		}
 	}
-	if span > 0 && rungs > 0 {
-		if cells := int64(n) * span * int64(rungs); cells <= msDenseCellLimit {
+	if ring > 0 && rungs > 0 {
+		if cells := int64(n) * ring * int64(rungs); cells <= msDenseCellLimit {
 			for w > 1 && cells*int64(w) > msDenseCellLimit {
 				w /= 2
 			}
@@ -887,9 +967,9 @@ func autoWidth(n int, span int64, rungs, workers int) int {
 // normWidth resolves a caller-supplied sweep width: 0 (or negative)
 // selects automatically via autoWidth, anything else is clamped to the
 // supported powers of two {1, 2, 4, 8}, rounding down.
-func normWidth(width, n int, span int64, rungs, workers int) int {
+func normWidth(width, n int, ring int64, rungs, workers int) int {
 	if width <= 0 {
-		return autoWidth(n, span, rungs, workers)
+		return autoWidth(n, ring, rungs, workers)
 	}
 	w := 1
 	for w < maxSweepWidth && w*2 <= width {
@@ -913,7 +993,7 @@ func TemporallyConnected(c *tvg.ContactSet, mode Mode, t0 tvg.Time) bool {
 	if !mode.IsValid() {
 		return false
 	}
-	w := autoWidth(n, spanOf(c, t0), 1, 1)
+	w := autoWidth(n, pendingRing(c, t0).n, 1, 1)
 	return reachBlocks(c, mode, t0, w, func(s *msScratch, _ int) bool { return s.unreached == 0 })
 }
 

@@ -229,10 +229,13 @@ type spExpire struct {
 // spScratch is the reusable state of one spectrum-sweep block of width
 // w lanes: the msScratch layout with a rung dimension appended to every
 // plane (see the file comment for the layout and the nesting
-// invariant). Like msScratch it is self-cleaning: every pending cell
-// written is zeroed when its tick drains (or by the post-loop cleanup
-// on early exit) — an all-zero grid is layout-independent, so a pooled
-// scratch can change width or rung count between sweeps.
+// invariant), including its two tick rings — the pending grid and due
+// buckets on one as long as the in-flight latency, the expire buckets
+// on one as long as the largest finite budget. Like msScratch it is
+// self-cleaning: every pending cell written is zeroed when its tick
+// drains (or by the post-loop cleanup on early exit) — an all-zero grid
+// is layout-independent, so a pooled scratch can change width, rung
+// count or ring between sweeps.
 //
 // The per-bit tables are *slotted by arrival rung* rather than
 // replicated per rung: an arrival event whose minimal feasible rung is
@@ -278,10 +281,10 @@ type spScratch struct {
 	lastAny   []tvg.Time
 	stamp0    tvg.Time // epoch base of the current sweep's lastArr stamps
 	nextStamp tvg.Time // first stamp value available to the next sweep
-	grid      []uint64 // dense [((v*span+idx)*w+lane)*k+r] pending-arrival words
+	grid      []uint64 // dense [((v*ring.n+slot)*w+lane)*k+r] pending-arrival words
 	sparse    map[int64]uint64
-	due       [][]int32    // per tick: lane rows (nl) with a pending cell (any rung)
-	expire    [][]spExpire // per tick: words whose window may have ended
+	due       [][]int32    // per ring slot: lane rows (nl) with a pending cell (any rung)
+	expire    [][]spExpire // per eRing slot: words whose window may have ended
 	d         []tvg.Time   // per rung: pause bound (finite rungs)
 	finite    []bool       // per rung: bounded budget?
 	anyFinite bool
@@ -301,11 +304,13 @@ type spScratch struct {
 	// are no-ops on the recorded results).
 	topActive int
 
-	// Sweep parameters, fixed by begin and read by run/cleanupFrom (see
+	// Sweep parameters, fixed by begin and read by run/cleanup (see
 	// msScratch: a resumable sweep spans several run calls).
 	n     int
 	t0    tvg.Time
 	span  int64
+	ring  tickRing // pending grid and due buckets
+	eRing tickRing // expire buckets (any finite rung)
 	dense bool
 }
 
@@ -336,14 +341,15 @@ func (s *spScratch) retainedBytes() int64 {
 	return b
 }
 
-// prepare sizes the buffers for n nodes × w lanes, k rungs and a
-// span-tick window and clears the per-(row, rung) masks. first needs no
-// clearing (it is only read for slots whose reached bit is set this
-// sweep), and lastArr is made stale-proof by the epoch stamps: the
+// prepare sizes the buffers for n nodes × w lanes, k rungs, a span-tick
+// window and the pending ring, and clears the per-(row, rung) masks; the
+// expire ring follows from the ladder's largest finite budget. first
+// needs no clearing (it is only read for slots whose reached bit is set
+// this sweep), and lastArr is made stale-proof by the epoch stamps: the
 // sweep claims a fresh stamp range [stamp0, stamp0+span], so any value
 // a previous sweep left behind — in any layout — is below every refresh
 // threshold this sweep can compute.
-func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, dense bool) {
+func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, ring tickRing, dense bool) {
 	s.stamp0 = s.nextStamp
 	s.nextStamp += span + 1
 	k := ladder.Len()
@@ -379,18 +385,24 @@ func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, dense bool) {
 	s.d, s.finite = s.d[:k], s.finite[:k]
 	s.remaining, s.maxFirst = s.remaining[:k], s.maxFirst[:k]
 	s.anyFinite = false
+	s.ring, s.eRing = ring, tickRing{}
 	for r := 0; r < k; r++ {
 		s.d[r], s.finite[r] = ladder.Mode(r).Bound()
-		s.anyFinite = s.anyFinite || s.finite[r]
-	}
-	if span > 0 {
-		if int64(len(s.due)) < span {
-			s.due = make([][]int32, span)
-			s.expire = make([][]spExpire, span)
+		if s.finite[r] {
+			s.anyFinite = true
+			s.eRing = expireRing(s.d[r], span) // rungs ascend: the last finite one is the largest
 		}
+	}
+	if int64(len(s.due)) < ring.n {
+		s.due = make([][]int32, ring.n)
+	}
+	if int64(len(s.expire)) < s.eRing.n {
+		s.expire = make([][]spExpire, s.eRing.n)
+	}
+	if ring.n > 0 {
 		if dense {
-			if int64(len(s.grid)) < int64(n)*span*int64(k)*int64(w) {
-				s.grid = make([]uint64, int64(n)*span*int64(k)*int64(w))
+			if int64(len(s.grid)) < int64(n)*ring.n*int64(k)*int64(w) {
+				s.grid = make([]uint64, int64(n)*ring.n*int64(k)*int64(w))
 			}
 		} else if s.sparse == nil {
 			s.sparse = make(map[int64]uint64)
@@ -399,7 +411,7 @@ func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, dense bool) {
 }
 
 // cell reads pending word (cellBase + r); cellBase is
-// ((v*span+idx)*w + lane)*k.
+// ((v*ring.n+slot)*w + lane)*k.
 func (s *spScratch) cell(cellBase int64, r int, dense bool) uint64 {
 	if dense {
 		return s.grid[cellBase+int64(r)]
@@ -485,11 +497,11 @@ func (s *spScratch) record(row, r int, w, lowest, seenNew uint64, arr tvg.Time) 
 
 // begin prepares the scratch for the block [base, base+cnt) and seeds
 // the sources at every rung; the tick loop itself is run. Same
-// begin/run/cleanupFrom contract as msScratch — a SweepCheckpoint keeps
+// begin/run/cleanup contract as msScratch — a SweepCheckpoint keeps
 // the scratch between run calls, and the epoch-stamp base claimed here
 // (prepare) serves every later run because stamps are stamp0 + window
 // index regardless of which run processes the tick.
-func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int) {
+func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int, ring tickRing) {
 	n := c.Graph().NumNodes()
 	k := ladder.Len()
 	span := spanOf(c, t0)
@@ -500,8 +512,8 @@ func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tv
 	if maxW := (cnt + blockBits - 1) / blockBits; w > maxW {
 		w = maxW
 	}
-	dense := span > 0 && int64(n)*span*int64(k)*int64(w) <= msDenseCellLimit
-	s.prepare(ladder, n, w, span, dense)
+	dense := ring.n > 0 && int64(n)*ring.n*int64(k)*int64(w) <= msDenseCellLimit
+	s.prepare(ladder, n, w, span, ring, dense)
 	s.n, s.t0, s.span, s.dense = n, t0, span, dense
 
 	for r := 0; r < k; r++ {
@@ -526,7 +538,7 @@ func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tv
 		s.first[sb*blockBits+(j&(blockBits-1))] = t0
 		s.stageMask[row*blockBits+(j&(blockBits-1))] = 1
 		if span > 0 {
-			cellBase := (int64(src)*span*int64(w) + int64(l)) * int64(k)
+			cellBase := (int64(src)*ring.n*int64(w) + int64(l)) * int64(k)
 			if s.cell(cellBase, k-1, dense) == 0 {
 				s.due[0] = append(s.due[0], int32(src)<<laneShift|int32(l))
 			}
@@ -542,9 +554,8 @@ func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tv
 // maintaining every rung's frontier simultaneously across up to s.w
 // lane words. The same window-splitting contract as msScratch.run: no
 // grid cleanup past the stopping point, state at a window boundary
-// identical to one run over the union window. Returns the first
-// unprocessed tick and whether cc aborted mid-tick (torn state, not
-// resumable).
+// identical to one run over the union window, and a cc abort mid-tick
+// leaves torn state that must not be resumed.
 //
 // Early exit mirrors the arrival rule of the single-mode kernel,
 // quantified over rungs: stop once every rung has reached every (node,
@@ -561,9 +572,10 @@ func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tv
 // non-nil cc is the block's cancellation checkpoint, polled every
 // ~CancelCheckInterval work units exactly as in msScratch.run; the
 // abort path merges partial telemetry plus one Cancellations tick.
-func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) (tvg.Time, bool) {
+func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) {
 	n, w, k := s.n, s.w, s.k
 	t0, span, dense := s.t0, s.span, s.dense
+	ringN, mask, eMask := s.ring.n, s.ring.mask, s.eRing.mask
 	horizon := c.Horizon()
 	contacts := c.Contacts()
 	var swept, expired, retired int64 // block-local telemetry, merged into st once
@@ -608,6 +620,7 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			break
 		}
 		idx := int64(t - t0)
+		slot := idx & mask
 
 		// 1. Pending arrivals at t come due at every active rung: fold
 		// into the live masks, stamp the latest-arrival slot of every
@@ -617,10 +630,10 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		// the grid self-cleaning. The top active rung's fold covers
 		// every lower rung's bits (nesting), so it alone feeds the gate
 		// word.
-		for _, nl := range s.due[idx] {
+		for _, nl := range s.due[slot] {
 			v := int(nl >> laneShift)
 			l := int(nl & laneMask)
-			cellBase := ((int64(v)*span+idx)*int64(w) + int64(l)) * int64(k)
+			cellBase := ((int64(v)*ringN+slot)*int64(w) + int64(l)) * int64(k)
 			row := v*w + l
 			wb := row * k
 			ab := row * blockBits
@@ -654,12 +667,12 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 				// stale bits cascade to later rungs from there. A window
 				// that outlives the sweep needs no check at any rung.
 				if s.finite[r] && horizon-t > s.d[r] {
-					eidx := idx + int64(s.d[r]) + 1
-					s.expire[eidx] = append(s.expire[eidx], spExpire{nl: nl, rung: int32(r), batch: idx, word: delta})
+					es := (idx + int64(s.d[r]) + 1) & eMask
+					s.expire[es] = append(s.expire[es], spExpire{nl: nl, rung: int32(r), batch: idx, word: delta})
 				}
 			}
 		}
-		s.due[idx] = s.due[idx][:0]
+		s.due[slot] = s.due[slot][:0]
 
 		// 2. Expire words whose rung-r window [a, a+d_r] ended last tick;
 		// bits refreshed by a newer arrival usable at rung r survive.
@@ -670,8 +683,9 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		// nested. A shrunk top-active plane invalidates the node's gate
 		// word, which is rebuilt from the surviving lanes.
 		if s.anyFinite {
-			expired += int64(len(s.expire[idx]))
-			for _, e := range s.expire[idx] {
+			es := idx & eMask
+			expired += int64(len(s.expire[es]))
+			for _, e := range s.expire[es] {
 				r := int(e.rung)
 				if r >= ta {
 					continue
@@ -718,11 +732,11 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 				// bound before forming batch+d+1 — a huge d (e.g.
 				// wait[MaxInt64]) would wrap the sum negative.
 				if rr := r + 1; rr < ta && s.finite[rr] && int64(s.d[rr]) < span-e.batch-1 {
-					eidx := e.batch + int64(s.d[rr]) + 1
-					s.expire[eidx] = append(s.expire[eidx], spExpire{nl: e.nl, rung: int32(rr), batch: e.batch, word: stale})
+					cs := (e.batch + int64(s.d[rr]) + 1) & eMask
+					s.expire[cs] = append(s.expire[cs], spExpire{nl: e.nl, rung: int32(rr), batch: e.batch, word: stale})
 				}
 			}
-			s.expire[idx] = s.expire[idx][:0]
+			s.expire[es] = s.expire[es][:0]
 		}
 
 		// 3. Contacts departing at t forward every active rung's usable
@@ -741,8 +755,8 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			from := int(ct.From)
 			to := int(ct.To)
 			if ct.Arr <= horizon {
-				arrIdx := int64(ct.Arr - t0)
-				gBase := (int64(to)*span + arrIdx) * int64(w) * int64(k)
+				aslot := int64(ct.Arr-t0) & mask
+				gBase := (int64(to)*ringN + aslot) * int64(w) * int64(k)
 				for l := 0; l < w; l++ {
 					fromB := (from*w + l) * k
 					if s.win[fromB+ta-1] == 0 {
@@ -789,7 +803,7 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 							}
 						}
 						if oldTop == 0 {
-							s.due[arrIdx] = append(s.due[arrIdx], int32(to)<<laneShift|int32(l))
+							s.due[aslot] = append(s.due[aslot], int32(to)<<laneShift|int32(l))
 						}
 						continue
 					}
@@ -812,7 +826,7 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 						marked = true
 					}
 					if wasEmpty && marked {
-						s.due[arrIdx] = append(s.due[arrIdx], int32(to)<<laneShift|int32(l))
+						s.due[aslot] = append(s.due[aslot], int32(to)<<laneShift|int32(l))
 					}
 				}
 			} else {
@@ -857,29 +871,25 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			st.SparseFallbacks.Inc()
 		}
 	}
-	return t, aborted
 }
 
-// cleanupFrom zeroes the pending cells and due/expire buckets of every
-// tick in [t, horizon] (see msScratch.cleanupFrom).
-func (s *spScratch) cleanupFrom(c *tvg.ContactSet, t tvg.Time) {
-	horizon := c.Horizon()
+// cleanup zeroes the pending cells and empties the due and expire
+// buckets of every ring slot (see msScratch.cleanup).
+func (s *spScratch) cleanup() {
 	w, k := s.w, s.k
-	span, dense := s.span, s.dense
-	for ; t <= horizon; t++ {
-		idx := int64(t - s.t0)
-		for _, nl := range s.due[idx] {
+	for slot := range s.ring.n {
+		for _, nl := range s.due[slot] {
 			v := int(nl >> laneShift)
 			l := int(nl & laneMask)
-			cellBase := ((int64(v)*span+idx)*int64(w) + int64(l)) * int64(k)
+			cellBase := ((int64(v)*s.ring.n+slot)*int64(w) + int64(l)) * int64(k)
 			for r := 0; r < k; r++ {
-				s.setCell(cellBase, r, 0, dense)
+				s.setCell(cellBase, r, 0, s.dense)
 			}
 		}
-		s.due[idx] = s.due[idx][:0]
-		if s.anyFinite {
-			s.expire[idx] = s.expire[idx][:0]
-		}
+		s.due[slot] = s.due[slot][:0]
+	}
+	for slot := range s.eRing.n {
+		s.expire[slot] = s.expire[slot][:0]
 	}
 }
 

@@ -112,15 +112,14 @@ func TestSweepStatsSpectrum(t *testing.T) {
 	}
 }
 
-// TestSweepStatsSparseFallback reuses the over-limit grid setup from the
-// sweep tests: nodes × span past msDenseCellLimit must report one
-// sparse fallback per block.
+// TestSweepStatsSparseFallback drives a pending grid past
+// msDenseCellLimit and pins one sparse fallback per block. The grid is
+// nodes × pending ring, and the ring follows the longest in-flight
+// latency, so one slow contact (40,000 ticks on a 45,001-tick window)
+// stretches it to the whole window.
 func TestSweepStatsSparseFallback(t *testing.T) {
 	const n = 200
 	const horizon = tvg.Time(45000)
-	if int64(n)*int64(horizon+1) <= msDenseCellLimit {
-		t.Fatalf("test setup no longer exceeds msDenseCellLimit")
-	}
 	rng := rand.New(rand.NewSource(3))
 	g := tvg.New()
 	g.AddNodes(n)
@@ -135,9 +134,16 @@ func TestSweepStatsSparseFallback(t *testing.T) {
 			Latency:  tvg.ConstLatency(1),
 		})
 	}
+	g.MustAddEdge(tvg.Edge{
+		From: 0, To: n / 2, Label: 'a',
+		Presence: tvg.NewTimeSet(5), Latency: tvg.ConstLatency(40000),
+	})
 	c, err := tvg.Compile(g, horizon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if int64(n)*pendingRing(c, 0).n <= msDenseCellLimit {
+		t.Fatalf("test setup no longer exceeds msDenseCellLimit")
 	}
 	var st obs.SweepStats
 	foremostOf(t, c, BoundedWait(100), 0, SweepOpts{Workers: 2, Stats: &st})

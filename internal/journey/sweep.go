@@ -39,10 +39,10 @@ type SweepOpts struct {
 	Stats *obs.SweepStats
 }
 
-// width resolves o.Width for a k-rung sweep of c from t0 and reports
-// it on o.Stats.
-func (o SweepOpts) width(c *tvg.ContactSet, t0 tvg.Time, k int) int {
-	w := normWidth(o.Width, c.Graph().NumNodes(), spanOf(c, t0), k, o.Workers)
+// width resolves o.Width for a k-rung sweep over n nodes whose pending
+// grid is on ring, and reports it on o.Stats.
+func (o SweepOpts) width(n int, ring tickRing, k int) int {
+	w := normWidth(o.Width, n, ring.n, k, o.Workers)
 	if o.Stats != nil {
 		o.Stats.Width.Set(int64(w))
 	}
@@ -69,7 +69,7 @@ func Sweep(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, o
 // sweep is Sweep on an explicit kernel (the differential suites force
 // either one). Each goroutine of the fan-out rents one pooled scratch
 // and reuses it block after block: a block is begin, one run to the
-// horizon, cleanup of the undrained grid, then extraction into its
+// horizon, cleanup of the undrained rings, then extraction into its
 // disjoint rows. A tripped canceler skips the remaining blocks and the
 // partial result is discarded.
 func sweep(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, o SweepOpts, k kernel) (*SpectrumResult, error) {
@@ -82,16 +82,17 @@ func sweep(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, o
 	}
 	n := c.Graph().NumNodes()
 	res := newSpectrumResult(ladder, t0, n)
-	w := o.width(c, t0, ladder.Len())
+	ring := pendingRing(c, t0)
+	w := o.width(n, ring, ladder.Len())
 	windowed := spanOf(c, t0) > 0
 	blockFanOut(n, o.Workers, w, func() blockSweep { return k(true) }, func(s blockSweep, _, base, cnt int) {
 		if cc.stopped() {
 			return
 		}
-		s.begin(c, ladder, base, cnt, t0, w)
+		s.begin(c, ladder, base, cnt, t0, w, ring)
 		if windowed {
-			t, _ := s.run(c, t0, c.Horizon(), o.Stats, cc)
-			s.cleanupFrom(c, t)
+			s.run(c, t0, c.Horizon(), o.Stats, cc)
+			s.cleanup()
 		} else if o.Stats != nil {
 			o.Stats.Blocks.Inc()
 		}
@@ -109,17 +110,18 @@ func sweep(ctx context.Context, c *tvg.ContactSet, ladder Ladder, t0 tvg.Time, o
 // blockSweep is the state of one source block of an all-pairs sweep.
 // Both bit-parallel kernels implement it: msScratch (multisource.go)
 // and spScratch (spectrum.go). A sweep is begin, then one or more run
-// calls over adjacent tick windows, then either cleanupFrom where the
-// last run stopped (a pooled one-shot sweep) or nothing (a
-// SweepCheckpoint keeps the state for a later suffix replay).
+// calls over adjacent tick windows, then either cleanup (a pooled
+// one-shot sweep) or nothing (a SweepCheckpoint keeps the state for a
+// later suffix replay).
 type blockSweep interface {
 	// begin prepares the block [base, base+cnt) at lane width `width`
-	// and seeds its sources at t0.
-	begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int)
+	// with its pending grid on ring, and seeds its sources at t0. Every
+	// later run may only see contacts whose latency ring holds.
+	begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int, ring tickRing)
 	// run processes the tick window [from, upTo]; see msScratch.run.
-	run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler) (tvg.Time, bool)
-	// cleanupFrom zeroes the pending grid from tick t on.
-	cleanupFrom(c *tvg.ContactSet, t tvg.Time)
+	run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepStats, cc *canceler)
+	// cleanup zeroes the pending grid and empties every ring slot.
+	cleanup()
 	// extract writes the block's source rows [base, base+cnt) of every
 	// rung's matrix, unreached pairs included.
 	extract(res *SpectrumResult, base, cnt int)

@@ -59,7 +59,7 @@ func reachOnlyOf(c *tvg.ContactSet, mode Mode, t0 tvg.Time, w int) *ReachMatrix 
 		return m
 	}
 	if w == 0 {
-		w = autoWidth(n, spanOf(c, t0), 1, 1)
+		w = autoWidth(n, pendingRing(c, t0).n, 1, 1)
 	}
 	reachBlocks(c, mode, t0, w, func(s *msScratch, base int) bool {
 		b := base / blockBits

@@ -154,14 +154,13 @@ func TestWidthParallelMatchesSequential(t *testing.T) {
 }
 
 // TestWidthSparseFallback runs the widths over a grid past
-// msDenseCellLimit: the sparse map is keyed per (node, tick, lane) cell,
-// and every width must agree with the narrow sparse sweep bit for bit.
+// msDenseCellLimit: the sparse map is keyed per (node, ring slot, lane)
+// cell, and every width must agree with the narrow sparse sweep bit for
+// bit. One slow contact (40,000 ticks) wraps a 65,536-tick pending ring
+// round a 70,001-tick window, so the map's keys wrap too.
 func TestWidthSparseFallback(t *testing.T) {
 	const n = 200
-	const horizon = tvg.Time(45000)
-	if int64(n)*int64(horizon+1) <= msDenseCellLimit {
-		t.Fatalf("test setup no longer exceeds msDenseCellLimit")
-	}
+	const horizon = tvg.Time(70000)
 	rng := rand.New(rand.NewSource(5))
 	g := tvg.New()
 	g.AddNodes(n)
@@ -178,9 +177,16 @@ func TestWidthSparseFallback(t *testing.T) {
 			})
 		}
 	}
+	g.MustAddEdge(tvg.Edge{
+		From: 0, To: n / 2, Label: 'a',
+		Presence: tvg.NewTimeSet(5, 20000), Latency: tvg.ConstLatency(40000),
+	})
 	c, err := tvg.Compile(g, horizon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ring := pendingRing(c, 0); ring.mask < 0 || int64(n)*ring.n <= msDenseCellLimit {
+		t.Fatalf("setup invalid: pending ring %+v must wrap and exceed msDenseCellLimit", ring)
 	}
 	for _, mode := range []Mode{NoWait(), BoundedWait(5000), Wait()} {
 		want := foremostOf(t, c, mode, 0, SweepOpts{Width: 1})
@@ -300,7 +306,7 @@ func TestAutoWidth(t *testing.T) {
 	cases := []struct {
 		name           string
 		n              int
-		span           int64
+		ring           int64
 		rungs, workers int
 		want           int
 	}{
@@ -316,9 +322,9 @@ func TestAutoWidth(t *testing.T) {
 		{"spectrum rungs charge the grid", 520, 3001, 4, 1, 1},
 	}
 	for _, tc := range cases {
-		if got := autoWidth(tc.n, tc.span, tc.rungs, tc.workers); got != tc.want {
+		if got := autoWidth(tc.n, tc.ring, tc.rungs, tc.workers); got != tc.want {
 			t.Errorf("%s: autoWidth(%d, %d, %d, %d) = %d, want %d",
-				tc.name, tc.n, tc.span, tc.rungs, tc.workers, got, tc.want)
+				tc.name, tc.n, tc.ring, tc.rungs, tc.workers, got, tc.want)
 		}
 	}
 	// Explicit widths: 0 delegates to auto, others round down to a
@@ -342,17 +348,14 @@ func TestAutoWidth(t *testing.T) {
 }
 
 // TestWidthDenseBudgetRegression is the ×W dense-cell accounting trap: a
-// grid the dense path affords at W=1 (n·span ≤ limit) but not at W=8.
+// grid the dense path affords at W=1 (n·ring ≤ limit) but not at W=8.
 // The auto width must stay within the dense budget; an explicit W=8
 // must fall back to the sparse map on its full-width block — and still
-// be bit-identical.
+// be bit-identical. One slow contact (1,500 ticks) sets the pending ring
+// to 2,048 ticks.
 func TestWidthDenseBudgetRegression(t *testing.T) {
 	const n = 520
 	const horizon = tvg.Time(3000)
-	cells := int64(n) * int64(horizon+1)
-	if cells > msDenseCellLimit || cells*maxSweepWidth <= msDenseCellLimit {
-		t.Fatalf("setup invalid: n·span = %d must be dense at W=1 and sparse at W=8", cells)
-	}
 	rng := rand.New(rand.NewSource(13))
 	g := tvg.New()
 	g.AddNodes(n)
@@ -369,9 +372,17 @@ func TestWidthDenseBudgetRegression(t *testing.T) {
 			})
 		}
 	}
+	g.MustAddEdge(tvg.Edge{
+		From: 0, To: n / 2, Label: 'a',
+		Presence: tvg.NewTimeSet(7), Latency: tvg.ConstLatency(1500),
+	})
 	c, err := tvg.Compile(g, horizon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cells := int64(n) * pendingRing(c, 0).n
+	if cells > msDenseCellLimit || cells*maxSweepWidth <= msDenseCellLimit {
+		t.Fatalf("setup invalid: n·ring = %d must be dense at W=1 and sparse at W=8", cells)
 	}
 	want := foremostOf(t, c, BoundedWait(40), 0, SweepOpts{Width: 1})
 
@@ -400,12 +411,19 @@ func TestWidthDenseBudgetRegression(t *testing.T) {
 }
 
 // TestScratchRetentionCap pins the pool hygiene satellite: a scratch
-// grown past msMaxRetainedBytes by one wide, long-horizon sweep must be
-// dropped on Put instead of pinning hundreds of MB for the process
-// lifetime; ordinary scratches keep being pooled.
+// grown past msMaxRetainedBytes by one wide sweep with a long in-flight
+// latency must be dropped on Put instead of pinning hundreds of MB for
+// the process lifetime; ordinary scratches keep being pooled. The grid
+// follows the pending ring, so the oversize one comes from a 1023-tick
+// latency (a 1024-tick ring) on a window far longer than that.
 func TestScratchRetentionCap(t *testing.T) {
+	const span = 1_000_000
+	longRing := newTickRing(1023, span)
+	if longRing.n != 1024 {
+		t.Fatalf("setup invalid: a 1023-tick latency rings %d ticks, want 1024", longRing.n)
+	}
 	s := getMsScratch()
-	s.prepare(64, 1, 100, true)
+	s.prepare(64, 1, newTickRing(1, span), tickRing{}, true)
 	if s.retainedBytes() > msMaxRetainedBytes {
 		t.Fatalf("small scratch charged %d bytes", s.retainedBytes())
 	}
@@ -413,7 +431,7 @@ func TestScratchRetentionCap(t *testing.T) {
 		t.Fatal("small multisource scratch was dropped")
 	}
 	s = getMsScratch()
-	s.prepare(2000, maxSweepWidth, 1100, true) // dense grid alone ≈ 141 MB
+	s.prepare(2100, maxSweepWidth, longRing, tickRing{}, true) // dense grid alone ≈ 138 MB
 	if s.retainedBytes() <= msMaxRetainedBytes {
 		t.Fatalf("oversized scratch charged only %d bytes", s.retainedBytes())
 	}
@@ -426,12 +444,12 @@ func TestScratchRetentionCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := getSpScratch()
-	sp.prepare(ladder, 64, 1, 50, true)
+	sp.prepare(ladder, 64, 1, span, newTickRing(1, span), true)
 	if !putSpScratch(sp) {
 		t.Fatal("small spectrum scratch was dropped")
 	}
 	sp = getSpScratch()
-	sp.prepare(ladder, 1200, maxSweepWidth, 600, true) // k·W grid ≈ 138 MB
+	sp.prepare(ladder, 700, maxSweepWidth, span, longRing, true) // k·W grid ≈ 138 MB
 	if sp.retainedBytes() <= msMaxRetainedBytes {
 		t.Fatalf("oversized spectrum scratch charged only %d bytes", sp.retainedBytes())
 	}

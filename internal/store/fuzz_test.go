@@ -43,6 +43,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flip := append([]byte(nil), img...)
 	flip[len(flip)/3] ^= 0x40
 	f.Add(flip)
+	if v1, err := os.ReadFile(v1Fixture); err == nil {
+		f.Add(v1) // the version-1 decode path
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, cs, err := Restore(data)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"tvgwait/internal/tvg"
@@ -25,10 +26,15 @@ import (
 // the load fail but never make it panic or balloon. Payload sections
 // are the CSR arrays verbatim — a future mmap load can alias them in
 // place; today's loader copies them into fresh slices.
+//
+// Versions: 2 stores the watermark-length tick index (lastDep+2
+// entries, DESIGN.md §1). 1 stored it horizon+2 entries long; the
+// decoder still reads it, validates the tail past the watermark and
+// drops it (trimV1TimeOff).
 
 const (
 	snapMagic   = "TVGSNAP1"
-	snapVersion = 1
+	snapVersion = 2
 
 	secName     = 1 // stream name bytes
 	secEdges    = 2 // edge table, edgeWire bytes per edge
@@ -128,8 +134,9 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	if len(p) < snapHeaderWire+4 {
 		return nil, fmt.Errorf("%w: no room for a snapshot header", ErrTruncated)
 	}
-	if v := binary.LittleEndian.Uint32(p[8:]); v != snapVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d", ErrBadVersion, v)
+	version := binary.LittleEndian.Uint32(p[8:])
+	if version != 1 && version != snapVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d", ErrBadVersion, version)
 	}
 	nsec := int(binary.LittleEndian.Uint32(p[12:]))
 	if nsec > maxSnapshotSections {
@@ -209,7 +216,36 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	if s.Raw.TimeOff == nil {
 		s.Raw.TimeOff = []int32{}
 	}
+	if version == 1 {
+		if err := trimV1TimeOff(&s.Raw); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+// trimV1TimeOff converts a version-1 tick index — horizon+2 entries,
+// every one past the watermark equal to the contact count — into the
+// watermark-length index FromRaw takes. The dropped tail is validated
+// in full first, so a version-1 image passes only if it was
+// well-formed as written; FromRaw then validates the kept prefix. The
+// prefix is copied so the horizon-long array is not retained.
+func trimV1TimeOff(r *tvg.RawSnapshot) error {
+	switch {
+	case r.Horizon < 0 || int64(len(r.TimeOff)) != int64(r.Horizon)+2:
+		return fmt.Errorf("%w: version-1 timeOff length %d for horizon %d", ErrCorrupt, len(r.TimeOff), r.Horizon)
+	case r.LastDep < -1 || r.LastDep > r.Horizon:
+		return fmt.Errorf("%w: lastDep stamp %d outside [-1, %d]", ErrCorrupt, r.LastDep, r.Horizon)
+	}
+	keep := int(r.LastDep) + 2
+	for i, off := range r.TimeOff[keep:] {
+		if int(off) != len(r.Contacts) {
+			return fmt.Errorf("%w: version-1 timeOff[%d] = %d past the watermark, want %d",
+				ErrCorrupt, keep+i, off, len(r.Contacts))
+		}
+	}
+	r.TimeOff = slices.Clone(r.TimeOff[:keep])
+	return nil
 }
 
 // Restore decodes a snapshot image and assembles the live ContactSet,

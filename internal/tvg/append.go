@@ -18,15 +18,17 @@ import (
 //     (edge, departure) sort of the contact array is preserved by pure
 //     append — parallel edges are legal and the sweeps read denormalized
 //     From/To, never the edge id;
-//   - contacts, edgeOff and byTime share the frozen prefix with the
-//     parent (the parent's extClaim arbitrates in-place extension of
-//     spare capacity; losers and capacity misses copy with ~25% headroom
-//     so a linear append chain settles into O(batch) amortized work);
-//   - timeOff is copied and shifted (O(horizon)) and the Graph's edge
-//     list and touched adjacency extend under the same claim; only the
-//     flat node→edges CSR is re-derived per revision (O(edges) of cheap
-//     int work), so the per-batch cost is far below any sweep over the
-//     set.
+//   - contacts, edgeOff, byTime and timeOff share the frozen prefix
+//     with the parent (the parent's extClaim arbitrates in-place
+//     extension of spare capacity; losers and capacity misses copy with
+//     ~25% headroom so a linear append chain settles into O(batch)
+//     amortized work). timeOff ends at the watermark, so a batch adds
+//     one entry per tick it advances the watermark by, never a horizon's
+//     worth;
+//   - the Graph's edge list and touched adjacency extend under the same
+//     claim; only the flat node→edges CSR is re-derived per revision
+//     (O(nodes) of cheap int work), so the per-batch cost is far below
+//     any sweep over the set and independent of the horizon.
 //
 // The horizon itself never moves: extending it would re-classify old
 // past-horizon terminal arrivals, invalidating every checkpoint taken on
@@ -119,15 +121,13 @@ func extendSet(base *ContactSet, newEdges []builderEdge, batch []Contact) (*Cont
 	if int64(oldC)+int64(len(batch)) > math.MaxInt32 {
 		return nil, fmt.Errorf("tvg: schedule has more than %d contacts", math.MaxInt32)
 	}
-	maxDep := Time(-1)
+	cs := &ContactSet{horizon: base.horizon, rev: base.rev + 1, lastDep: -1, maxLat: base.maxLat}
 	for i := range batch {
-		if batch[i].Dep > maxDep {
-			maxDep = batch[i].Dep
-		}
+		cs.lastDep = max(cs.lastDep, batch[i].Dep)
+		cs.maxLat = max(cs.maxLat, inHorizonLatency(&batch[i], base.horizon))
 	}
-	cs := &ContactSet{horizon: base.horizon, rev: base.rev + 1, lastDep: maxDep}
 
-	// One claim covers all three extendable arrays: the winner may write
+	// One claim covers all four extendable arrays: the winner may write
 	// base's spare capacity (beyond base's lengths — invisible to every
 	// reader of base) and inherits the lineage token; a per-array capacity
 	// miss just copies that array. A claim LOSER is a sibling branch: it
@@ -154,14 +154,16 @@ func extendSet(base *ContactSet, newEdges []builderEdge, batch []Contact) (*Cont
 	}
 
 	// byTime gains one suffix per batch: every new departure is later than
-	// every old one, so the (Dep, Edge) order is append-only too. Counting
-	// sort over the batch's tick range; filling in batch (edge-major)
-	// order keeps each tick's bucket in ascending edge order.
+	// every old one, so the (Dep, Edge) order is append-only too, and so
+	// is timeOff, which gains one entry per tick in (base.lastDep,
+	// cs.lastDep].
+	// Counting sort over those ticks; filling in batch (edge-major) order
+	// keeps each tick's bucket in ascending edge order.
 	lo := base.lastDep + 1 // first tick the batch may occupy (lastDep may be -1)
 	if lo < 0 {
 		lo = 0
 	}
-	span := int(base.horizon + 1 - lo)
+	span := int(cs.lastDep + 1 - lo)
 	counts := make([]int32, span+1)
 	for i := range batch {
 		counts[batch[i].Dep-lo+1]++
@@ -169,25 +171,14 @@ func extendSet(base *ContactSet, newEdges []builderEdge, batch []Contact) (*Cont
 	for t := 1; t <= span; t++ {
 		counts[t] += counts[t-1]
 	}
-	suffix := make([]int32, len(batch))
+	cs.timeOff = extendSlice(base.timeOff, inPlace, span)
+	for t := 1; t <= span; t++ {
+		cs.timeOff = append(cs.timeOff, int32(oldC)+counts[t])
+	}
+	cs.byTime = extendSlice(base.byTime, inPlace, len(batch))[:oldC+len(batch)]
 	for i := range batch {
-		suffix[counts[batch[i].Dep-lo]] = int32(oldC + i)
+		cs.byTime[oldC+int(counts[batch[i].Dep-lo])] = int32(oldC + i)
 		counts[batch[i].Dep-lo]++
-	}
-	cs.byTime = append(extendSlice(base.byTime, inPlace, len(batch)), suffix...)
-
-	// timeOff is small (horizon+2 int32s): copy and shift the buckets at
-	// and after each batch tick by the cumulative batch counts.
-	cs.timeOff = make([]int32, len(base.timeOff))
-	copy(cs.timeOff, base.timeOff)
-	add := make([]int32, span)
-	for i := range batch {
-		add[batch[i].Dep-lo]++
-	}
-	var cum int32
-	for t := 0; t < span; t++ {
-		cum += add[t]
-		cs.timeOff[int(lo)+t+1] += cum
 	}
 
 	// The Graph is extended, not rebuilt. Old edges keep their Edge

@@ -44,6 +44,21 @@ func checkCSRInvariants(t *testing.T, c *ContactSet) {
 	if c.lastDep != maxDep {
 		t.Fatalf("lastDep = %d, want %d", c.lastDep, maxDep)
 	}
+	var maxLat Time
+	for _, ct := range c.contacts {
+		if ct.Arr <= c.horizon && ct.Arr-ct.Dep > maxLat {
+			maxLat = ct.Arr - ct.Dep
+		}
+	}
+	if c.MaxLatency() != maxLat {
+		t.Fatalf("MaxLatency = %d, want the largest in-horizon latency %d", c.MaxLatency(), maxLat)
+	}
+	if got, want := len(c.timeOff), int(c.lastDep)+2; got != want {
+		t.Fatalf("len(timeOff) = %d, want lastDep+2 = %d", got, want)
+	}
+	if c.AtTick(c.lastDep+1) != nil {
+		t.Fatalf("AtTick past the watermark = %v, want nil", c.AtTick(c.lastDep+1))
+	}
 	if len(c.byTime) != len(c.contacts) {
 		t.Fatalf("len(byTime) = %d, want %d", len(c.byTime), len(c.contacts))
 	}
@@ -377,5 +392,113 @@ func TestAppendRevisionRecompiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(re.Contacts(), rev.Contacts()) {
 		t.Fatal("recompiling a revision's graph does not reproduce its contacts")
+	}
+}
+
+// liveShape builds the live-ingest stream shape over the given horizon:
+// 96 nodes and 9,000 latency-1 contacts, one every second tick from 0.
+func liveShape(tb testing.TB, horizon Time) *ContactSet {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(3))
+	recs := make([]ContactRecord, 9000)
+	for i := range recs {
+		from := rng.Intn(96)
+		recs[i] = ContactRecord{From: Node(from), To: Node((from + 1 + rng.Intn(95)) % 96), Dep: Time(2 * i), Arr: Time(2*i + 1)}
+	}
+	b := NewBuilder()
+	b.Reset(96, horizon)
+	empty, err := b.Finalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := empty.AppendContacts(recs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestAppendHorizonIndependent pins what one append costs: a 20-contact
+// batch onto the live-ingest stream shape allocates within 2× the same
+// bytes at horizon 40,000 as at 1,000,000 — the tick index grows by the
+// batch's own ticks, not by the horizon. Each run of 100 appends is a
+// linear chain from the same base, so both horizons pay the same
+// sibling copy per run.
+func TestAppendHorizonIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two testing.Benchmark loops")
+	}
+	bytesPerAppend := func(horizon Time) int64 {
+		base := liveShape(t, horizon)
+		batch := make([]ContactRecord, 20)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			cur := base
+			for i := 0; i < b.N; i++ {
+				if i%100 == 0 {
+					cur = base
+				}
+				for j := range batch {
+					dep := cur.LastDep() + 1 + Time(2*j)
+					batch[j] = ContactRecord{From: Node(j % 96), To: Node((j + 5) % 96), Dep: dep, Arr: dep + 1}
+				}
+				next, err := cur.AppendContacts(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur = next
+			}
+		})
+		return res.AllocedBytesPerOp()
+	}
+	short, long := bytesPerAppend(40_000), bytesPerAppend(1_000_000)
+	if short <= 0 || long > 2*short || short > 2*long {
+		t.Fatalf("append allocates %d B/op at horizon 40,000 and %d B/op at 1,000,000, want within 2×", short, long)
+	}
+}
+
+// TestMaxLatency pins the in-horizon latency bound through every
+// construction path: a cold build, appends (which only raise it, and
+// not for arrivals past the horizon) and a raw round trip.
+func TestMaxLatency(t *testing.T) {
+	b := NewBuilder()
+	b.Reset(4, 30)
+	b.StartEdge(0, 1, 'a')
+	b.Append(2, 5)   // latency 3
+	b.Append(20, 40) // past the horizon: terminal, not counted
+	c, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.MaxLatency() != 3 {
+		t.Fatalf("cold MaxLatency = %d, want 3", c.MaxLatency())
+	}
+	for _, step := range []struct {
+		rec  ContactRecord
+		want Time
+	}{
+		{ContactRecord{From: 1, To: 2, Dep: 21, Arr: 22}, 3},
+		{ContactRecord{From: 2, To: 3, Dep: 22, Arr: 29}, 7},
+		{ContactRecord{From: 3, To: 0, Dep: 25, Arr: 90}, 7},
+	} {
+		if c, err = c.AppendContacts([]ContactRecord{step.rec}); err != nil {
+			t.Fatal(err)
+		}
+		checkCSRInvariants(t, c)
+		if c.MaxLatency() != step.want {
+			t.Fatalf("after %+v: MaxLatency = %d, want %d", step.rec, c.MaxLatency(), step.want)
+		}
+	}
+	back, err := FromRaw(c.Raw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.MaxLatency() != c.MaxLatency() {
+		t.Fatalf("raw round trip MaxLatency = %d, want %d", back.MaxLatency(), c.MaxLatency())
+	}
+	empty := NewBuilder()
+	empty.Reset(2, 10)
+	if e, _ := empty.Finalize(); e.MaxLatency() != 0 || len(e.timeOff) != 1 || e.AtTick(0) != nil {
+		t.Fatalf("empty set: MaxLatency %d, timeOff %v", e.MaxLatency(), e.timeOff)
 	}
 }

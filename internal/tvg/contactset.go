@@ -31,7 +31,9 @@ type Contact struct {
 //     edge ids in ascending id order;
 //   - byTime lists contact indexes sorted by (Dep, Edge), bracketed per
 //     tick by timeOff, so all contacts departing at tick t are
-//     byTime[timeOff[t]:timeOff[t+1]], in ascending edge order.
+//     byTime[timeOff[t]:timeOff[t+1]], in ascending edge order. timeOff
+//     covers [0, lastDep] only — no contact departs later, so the index
+//     is as long as the stream, not the horizon.
 //
 // A ContactSet is immutable after construction and safe for unbounded
 // concurrent use; accessors returning slices share the backing arrays and
@@ -46,11 +48,13 @@ type ContactSet struct {
 	outEdges []EdgeID
 	outOff   []int32 // len NumNodes+1
 	byTime   []int32 // contact indexes ordered by (Dep, Edge)
-	timeOff  []int32 // len horizon+2
+	timeOff  []int32 // len lastDep+2
 
 	// Revision metadata for the append path (append.go). rev counts the
 	// append batches behind this set (0 for a cold build); lastDep is the
-	// latest departure, -1 when the set is empty. extClaim is consumed by
+	// latest departure, -1 when the set is empty; maxLat is the largest
+	// latency of a contact arriving within the horizon, 0 when there is
+	// none. extClaim is consumed by
 	// the FIRST revision extending this set: the winner inherits lin (the
 	// lineage token shared by one linear chain of revisions — the basis of
 	// Extends) and may append into the backing arrays' spare capacity
@@ -58,6 +62,7 @@ type ContactSet struct {
 	// indexes); a later sibling branch copies and starts a fresh lineage.
 	rev      uint64
 	lastDep  Time
+	maxLat   Time
 	lin      *lineage
 	extClaim atomic.Bool
 }
@@ -132,11 +137,17 @@ func (c *ContactSet) buildNodeIndexes() {
 	}
 }
 
-// buildTimeIndexes derives the departure tick → contacts index by
-// counting sort, and the lastDep watermark. Filling in contact order
-// keeps each tick's bucket in ascending edge order.
+// buildTimeIndexes derives the lastDep watermark, the in-horizon
+// latency bound and the departure tick → contacts index over
+// [0, lastDep] by counting sort. Filling in contact order keeps each
+// tick's bucket in ascending edge order.
 func (c *ContactSet) buildTimeIndexes() {
-	c.timeOff = make([]int32, c.horizon+2)
+	c.lastDep, c.maxLat = -1, 0
+	for i := range c.contacts {
+		c.lastDep = max(c.lastDep, c.contacts[i].Dep)
+		c.maxLat = max(c.maxLat, inHorizonLatency(&c.contacts[i], c.horizon))
+	}
+	c.timeOff = make([]int32, c.lastDep+2)
 	for _, ct := range c.contacts {
 		c.timeOff[ct.Dep+1]++
 	}
@@ -149,10 +160,16 @@ func (c *ContactSet) buildTimeIndexes() {
 		c.byTime[fillT[ct.Dep]] = int32(i)
 		fillT[ct.Dep]++
 	}
-	c.lastDep = -1
-	if len(c.byTime) > 0 {
-		c.lastDep = c.contacts[c.byTime[len(c.byTime)-1]].Dep
+}
+
+// inHorizonLatency returns ct's latency when it arrives within the
+// horizon, else 0: a terminal arrival past the horizon is never held
+// as in-flight sweep state, so it does not count toward MaxLatency.
+func inHorizonLatency(ct *Contact, horizon Time) Time {
+	if ct.Arr > horizon {
+		return 0
 	}
+	return ct.Arr - ct.Dep
 }
 
 // SizeBytes reports the approximate heap footprint of the compiled
@@ -207,10 +224,10 @@ func (c *ContactSet) OutEdges(n Node) []EdgeID {
 }
 
 // AtTick returns the indexes (into Contacts) of every contact departing at
-// tick t, in ascending edge order. The slice is shared; callers must not
-// modify it.
+// tick t, in ascending edge order; nil outside [0, LastDep()]. The slice
+// is shared; callers must not modify it.
 func (c *ContactSet) AtTick(t Time) []int32 {
-	if t < 0 || t > c.horizon {
+	if t < 0 || t > c.lastDep {
 		return nil
 	}
 	return c.byTime[c.timeOff[t]:c.timeOff[t+1]]
@@ -328,6 +345,13 @@ func (c *ContactSet) Revision() uint64 { return c.rev }
 // this watermark is the suffix-replay cut the incremental sweeps resume
 // from (see internal/journey SweepCheckpoint).
 func (c *ContactSet) LastDep() Time { return c.lastDep }
+
+// MaxLatency returns the largest latency (Arr − Dep) of any contact that
+// arrives within the horizon, or 0 when there is none. It bounds how far
+// ahead of the current tick a departure-ordered sweep holds in-flight
+// arrivals, which is what sizes the sweeps' tick rings (see
+// internal/journey).
+func (c *ContactSet) MaxLatency() Time { return c.maxLat }
 
 // Extends reports whether c's contact stream is base plus zero or more
 // appended batches over the same node count and horizon — the validity

@@ -29,7 +29,7 @@ type RawSnapshot struct {
 	Contacts []Contact
 	EdgeOff  []int32
 	ByTime   []int32
-	TimeOff  []int32
+	TimeOff  []int32 // LastDep+2 entries: ticks [0, LastDep]
 
 	// Edges is the edge table: endpoints and label per edge id. Edge
 	// schedules are not serialized — within the compiled horizon they
@@ -95,7 +95,8 @@ func corrupt(format string, args ...any) error {
 //
 // Validation is complete: arbitrary input can make FromRaw fail, never
 // produce a set that violates the invariants the sweeps rely on. It
-// runs in O(contacts + horizon) — linear passes only.
+// runs in O(contacts + LastDep) — linear passes only. TimeOff must be
+// the watermark-length index of DESIGN.md §1 (LastDep+2 entries).
 func FromRaw(r RawSnapshot) (*ContactSet, error) {
 	nc := len(r.Contacts)
 	switch {
@@ -103,14 +104,16 @@ func FromRaw(r RawSnapshot) (*ContactSet, error) {
 		return nil, corrupt("negative node count %d", r.Nodes)
 	case r.Horizon < 0:
 		return nil, corrupt("negative horizon %d", r.Horizon)
+	case r.LastDep < -1 || r.LastDep > r.Horizon:
+		return nil, corrupt("lastDep stamp %d outside [-1, %d]", r.LastDep, r.Horizon)
 	case r.NodeNames != nil && len(r.NodeNames) != r.Nodes:
 		return nil, corrupt("%d node names for %d nodes", len(r.NodeNames), r.Nodes)
 	case len(r.EdgeOff) != len(r.Edges)+1:
 		return nil, corrupt("edgeOff length %d for %d edges", len(r.EdgeOff), len(r.Edges))
 	case len(r.ByTime) != nc:
 		return nil, corrupt("byTime length %d for %d contacts", len(r.ByTime), nc)
-	case int64(len(r.TimeOff)) != int64(r.Horizon)+2:
-		return nil, corrupt("timeOff length %d for horizon %d", len(r.TimeOff), r.Horizon)
+	case int64(len(r.TimeOff)) != int64(r.LastDep)+2:
+		return nil, corrupt("timeOff length %d for lastDep %d", len(r.TimeOff), r.LastDep)
 	case r.EdgeOff[0] != 0 || int(r.EdgeOff[len(r.EdgeOff)-1]) != nc:
 		return nil, corrupt("edgeOff does not bracket the contact array")
 	case r.TimeOff[0] != 0 || int(r.TimeOff[len(r.TimeOff)-1]) != nc:
@@ -127,7 +130,9 @@ func FromRaw(r RawSnapshot) (*ContactSet, error) {
 
 	// Per-edge brackets: offsets nondecreasing, each contact carrying its
 	// bracket's edge id and endpoints, departures strictly increasing
-	// within an edge, every (dep, arr) pair inside the model.
+	// within an edge, every (dep, arr) pair inside the model. The
+	// in-horizon latency bound is derived on the way.
+	var maxLat Time
 	for e := 0; e < len(r.Edges); e++ {
 		lo, hi := int(r.EdgeOff[e]), int(r.EdgeOff[e+1])
 		if lo > hi || lo < 0 || hi > nc {
@@ -151,6 +156,7 @@ func FromRaw(r RawSnapshot) (*ContactSet, error) {
 			if i > lo && r.Contacts[i-1].Dep >= ct.Dep {
 				return nil, corrupt("edge %d departures not strictly increasing at contact %d", e, i)
 			}
+			maxLat = max(maxLat, inHorizonLatency(ct, r.Horizon))
 		}
 	}
 
@@ -158,8 +164,9 @@ func FromRaw(r RawSnapshot) (*ContactSet, error) {
 	// a contact departing at t, in strictly ascending edge order. Strict
 	// ascent makes the entries of a bucket distinct; with the totals
 	// matching (timeOff's last bracket is nc) and each contact eligible
-	// for exactly one bucket, byTime is a permutation by pigeonhole.
-	for t := Time(0); t <= r.Horizon; t++ {
+	// for exactly one bucket, byTime is a permutation by pigeonhole —
+	// which also proves that no contact departs after LastDep.
+	for t := Time(0); t <= r.LastDep; t++ {
 		lo, hi := int(r.TimeOff[t]), int(r.TimeOff[t+1])
 		if lo > hi || lo < 0 || hi > nc {
 			return nil, corrupt("timeOff[%d..%d] = [%d, %d) out of order", t, t+1, lo, hi)
@@ -200,6 +207,7 @@ func FromRaw(r RawSnapshot) (*ContactSet, error) {
 		timeOff:  r.TimeOff[:len(r.TimeOff):len(r.TimeOff)],
 		rev:      r.Revision,
 		lastDep:  r.LastDep,
+		maxLat:   maxLat,
 		lin:      &lineage{},
 	}
 

@@ -175,6 +175,18 @@ func TestFromRawRejectsCorruption(t *testing.T) {
 		{"byTime out of range", func(r *RawSnapshot) { r.ByTime[0] = int32(len(r.Contacts)) }},
 		{"byTime wrong tick", func(r *RawSnapshot) { r.ByTime[0], r.ByTime[len(r.ByTime)-1] = r.ByTime[len(r.ByTime)-1], r.ByTime[0] }},
 		{"stale lastDep", func(r *RawSnapshot) { r.LastDep++ }},
+		{"lastDep below -1", func(r *RawSnapshot) { r.LastDep = -2 }},
+		{"lastDep past horizon", func(r *RawSnapshot) {
+			for len(r.TimeOff) < int(r.Horizon)+3 {
+				r.TimeOff = append(r.TimeOff, int32(len(r.Contacts)))
+			}
+			r.LastDep = r.Horizon + 1
+		}},
+		{"horizon-long timeOff", func(r *RawSnapshot) {
+			for len(r.TimeOff) < int(r.Horizon)+2 {
+				r.TimeOff = append(r.TimeOff, int32(len(r.Contacts)))
+			}
+		}},
 		{"unbracketed edgeOff", func(r *RawSnapshot) { r.EdgeOff[len(r.EdgeOff)-1]++ }},
 		{"unbracketed timeOff", func(r *RawSnapshot) { r.TimeOff[0] = 1 }},
 		{"duplicate node name", func(r *RawSnapshot) {
