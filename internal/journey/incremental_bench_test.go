@@ -61,6 +61,7 @@ func BenchmarkIncrementalColdForemost256(b *testing.B) {
 	nowait := rungOf(b, NoWait())
 	var st obs.SweepStats
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, _, err := SweepCheckpointed(context.Background(), c, nowait, 0, SweepOpts{Stats: &st})
 		if err != nil {
@@ -118,6 +119,7 @@ func BenchmarkIncrementalColdSpectrum256(b *testing.B) {
 	ladder := benchLadder8(b)
 	var st obs.SweepStats
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, _, err := SweepCheckpointed(context.Background(), c, ladder, 0, SweepOpts{Stats: &st})
 		if err != nil {

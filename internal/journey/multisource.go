@@ -24,9 +24,12 @@ package journey
 //     arrival-tick, lane) in a pending grid; when tick a is processed
 //     the word comes due (ORed into the live mask) and its expiry is
 //     scheduled d+1 ticks later, where bits refreshed by a newer
-//     arrival — detected via a per-(node, lane, bit) latest-arrival
-//     table — survive the clear. This is the due-bucket idea of
-//     dtn.Scratch, word-packed.
+//     arrival survive the clear. Refreshes are read from a bit-sliced
+//     stamp table: per (node, lane), B = bits.Len64(d+1) words whose
+//     bit j, read across the words, is source j's latest due window
+//     index mod 2^B, so a due word is stamped and an expiring word
+//     tested in B word operations whatever its popcount (stampWords).
+//     This is the due-bucket idea of dtn.Scratch, word-packed.
 //
 // Neither the pending grid nor the buckets span the horizon: an arrival
 // is in flight for at most MaxLatency ticks and an expiry check waits
@@ -238,8 +241,8 @@ type msExpire struct {
 // width w lanes. Per-node state is laid out lane-contiguous — the w
 // words a contact touches for one node are adjacent, so an 8-lane block
 // reads one cache line where 8 narrow blocks would read 8 — and the
-// per-bit tables keep the [node*64*w + j] slot indexing of the narrow
-// sweep with j = lane*64 + bit. The pending grid and the due buckets
+// per-bit first-arrival table keeps the [node*64*w + j] slot indexing
+// of the narrow sweep with j = lane*64 + bit. The pending grid and the due buckets
 // share one tick ring (ring), the expire buckets another (eRing). Both
 // are self-cleaning: every cell written is zeroed when its tick is
 // drained (or by the post-loop cleanup on early exit), so reuse needs
@@ -253,7 +256,7 @@ type msScratch struct {
 	inHoriz []uint64         // [v*w+l]: sources whose recorded arrival is ≤ horizon
 	anyWin  []uint64         // [v]: OR of v's live lane words (contact-gate filter)
 	first   []tvg.Time       // [(v*w+l)*64+bit]: earliest arrival (valid iff reached)
-	lastArr []tvg.Time       // [(v*w+l)*64+bit]: latest due arrival (bounded modes)
+	stamps  []uint64         // [(v*w+l)*nb+b]: bit b of each source's latest due index (bounded modes)
 	grid    []uint64         // dense [(v*ring.n+slot)*w+l] pending-arrival words
 	sparse  map[int64]uint64 // fallback for oversized grids
 	due     [][]int32        // per ring slot: lane rows (nl) with a pending word
@@ -279,6 +282,7 @@ type msScratch struct {
 	arrivals bool
 	d        tvg.Time
 	finite   bool
+	nb       int // stamp words per lane row: stampWords(d, span), 0 under wait
 }
 
 var msPool = sync.Pool{New: func() any { return new(msScratch) }}
@@ -298,35 +302,36 @@ func putMsScratch(s *msScratch) bool {
 }
 
 // retainedBytes estimates the scratch's pinned footprint. The flat
-// arenas (masks, per-bit tables, dense grid) dominate and are exact;
+// arenas (masks, stamps, first arrivals, dense grid) dominate and are exact;
 // the per-slot bucket backbones are charged by header, and the sparse
 // map — whose buckets never shrink — by its high-water entry count.
 func (s *msScratch) retainedBytes() int64 {
 	words := int64(cap(s.win)) + int64(cap(s.reached)) + int64(cap(s.inHoriz)) +
-		int64(cap(s.anyWin)) + int64(cap(s.grid))
-	times := int64(cap(s.first)) + int64(cap(s.lastArr))
-	b := (words + times) * 8
+		int64(cap(s.anyWin)) + int64(cap(s.stamps)) + int64(cap(s.grid))
+	b := (words + int64(cap(s.first))) * 8
 	b += int64(cap(s.due))*24 + int64(cap(s.expire))*24
 	b += int64(s.sparsePeak) * 48 // ≈ bucket bytes per (int64, uint64) entry
 	return b
 }
 
-// prepare sizes the buffers for n nodes × w lanes, the pending ring and
-// the expire ring, and clears the per-node masks. first and lastArr
-// need no clearing: first is only read for bits marked reached this
-// sweep, lastArr only for bits that came due this sweep — both
-// invariants are layout-local, so they survive width changes between
-// sweeps.
-func (s *msScratch) prepare(n, w int, ring, eRing tickRing, dense bool) {
-	s.w = w
+// prepare sizes the buffers for n nodes × w lanes, nb stamp words per
+// lane row, the pending ring and the expire ring, and clears the
+// per-node masks. first and stamps need no clearing: first is only read
+// for bits marked reached this sweep, and an expiry only tests bits that
+// came due — and were stamped — this sweep. Both invariants are
+// layout-local, so they survive width changes between sweeps.
+func (s *msScratch) prepare(n, w int, ring, eRing tickRing, nb int, dense bool) {
+	s.w, s.nb = w, nb
 	s.ring, s.eRing = ring, eRing
 	rows := n * w
+	if len(s.stamps) < rows*nb {
+		s.stamps = make([]uint64, rows*nb)
+	}
 	if len(s.win) < rows {
 		s.win = make([]uint64, rows)
 		s.reached = make([]uint64, rows)
 		s.inHoriz = make([]uint64, rows)
 		s.first = make([]tvg.Time, rows*blockBits)
-		s.lastArr = make([]tvg.Time, rows*blockBits)
 	} else {
 		clear(s.win[:rows])
 		clear(s.reached[:rows])
@@ -517,7 +522,7 @@ func (s *msScratch) beginMode(c *tvg.ContactSet, mode Mode, base, cnt int, t0 tv
 	if finite {
 		eRing = expireRing(d, span)
 	}
-	s.prepare(n, w, ring, eRing, dense)
+	s.prepare(n, w, ring, eRing, stampWords(d, finite, span), dense)
 	s.n, s.t0, s.span, s.dense = n, t0, span, dense
 	s.arrivals, s.d, s.finite = arrivals, d, finite
 
@@ -566,7 +571,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 	n, w := s.n, s.w
 	t0, dense := s.t0, s.dense
 	ringN, mask, eMask := s.ring.n, s.ring.mask, s.eRing.mask
-	arrivals, d, finite := s.arrivals, s.d, s.finite
+	arrivals, d, finite, nb := s.arrivals, s.d, s.finite, s.nb
 	horizon := c.Horizon()
 	contacts := c.Contacts()
 	// gate[v] must be zero only if no lane has a usable copy at v; for
@@ -625,9 +630,10 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		slot := idx & mask
 
 		// 1. Pending arrivals at t come due: fold into the live masks,
-		// stamp the latest-arrival table, and (for finite budgets)
-		// schedule the expiry of this word d+1 ticks out. Retired lanes
-		// only have their cells zeroed, keeping the grid self-cleaning.
+		// stamp idx as the word's latest due index, and (for finite
+		// budgets) schedule the expiry of this word d+1 ticks out. Retired
+		// lanes only have their cells zeroed, keeping the grid
+		// self-cleaning.
 		for _, nl := range s.due[slot] {
 			wd := s.takePending(nl, slot, dense)
 			l := int(nl & laneMask)
@@ -639,10 +645,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 			s.win[row] |= wd
 			s.anyWin[v] |= wd
 			if finite {
-				fb := row * blockBits
-				for mw := wd; mw != 0; mw &= mw - 1 {
-					s.lastArr[fb+bits.TrailingZeros64(mw)] = t
-				}
+				stamp(s.stamps[row*nb:(row+1)*nb], wd, idx)
 				if horizon-t > d { // else the window outlives the sweep
 					es := (idx + int64(d) + 1) & eMask
 					s.expire[es] = append(s.expire[es], msExpire{nl: nl, word: wd})
@@ -651,13 +654,14 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		}
 		s.due[slot] = s.due[slot][:0]
 
-		// 2. Expire words whose window [a, a+d] ended last tick. Bits
-		// refreshed by a newer arrival (lastArr ≥ t−d) survive. Runs
-		// after the due drain so same-tick refreshes are visible. A
-		// shrunk live word invalidates the node's gate word, which is
-		// rebuilt from the surviving lanes.
+		// 2. Expire words whose window [a, a+d] ended last tick, a =
+		// idx−d−1. Bits refreshed by a newer arrival (stamped after a)
+		// survive. Runs after the due drain so same-tick refreshes are
+		// visible. A shrunk live word invalidates the node's gate word,
+		// which is rebuilt from the surviving lanes.
 		if finite {
 			es := idx & eMask
+			batch := idx - int64(d) - 1
 			expired += int64(len(s.expire[es]))
 			for _, e := range s.expire[es] {
 				l := int(e.nl & laneMask)
@@ -666,14 +670,7 @@ func (s *msScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 				}
 				v := int(e.nl >> laneShift)
 				row := v*w + l
-				fb := row * blockBits
-				stale := e.word
-				for mw := e.word; mw != 0; mw &= mw - 1 {
-					j := bits.TrailingZeros64(mw)
-					if s.lastArr[fb+j]+d >= t {
-						stale &^= 1 << uint(j)
-					}
-				}
+				stale := unrefreshed(s.stamps[row*nb:(row+1)*nb], e.word, batch)
 				if stale == 0 {
 					continue
 				}
@@ -925,6 +922,45 @@ func checkpointRing(c *tvg.ContactSet, t0 tvg.Time) tickRing {
 // cascade check lands no further out than the largest budget's own).
 func expireRing(d tvg.Time, span int64) tickRing {
 	return newTickRing(min(int64(d), span)+1, span)
+}
+
+// stampWords returns B, the number of bit-sliced stamp words a budget
+// keeps per lane row over a span-tick window: none under wait, whose
+// windows never end, else the fewest with 2^B ≥ min(d, span)+2.
+//
+// Stamp word b holds bit b of every source's latest due window index
+// (t−t0) mod 2^B. The expiry check for a word that came due at batch a
+// runs at a+d+1, after that tick's due drain, so each of its bits was
+// stamped a at the batch and since then at most refreshed, 1…d+1 ticks
+// later. Those d+2 candidate indices are distinct mod 2^B, so a bit is
+// stale exactly when its stamp still equals a mod 2^B — and the stamp
+// is never read before the batch that wrote it, so the table needs no
+// clearing between sweeps and no epoch. d ≥ span−1 schedules no check
+// at all, hence the cap.
+func stampWords(d tvg.Time, finite bool, span int64) int {
+	if !finite {
+		return 0
+	}
+	return bits.Len64(uint64(min(int64(d), span)) + 1)
+}
+
+// stamp records window index idx as the latest due index of bits wd in
+// the stamp words ts: word b takes bit b of idx on wd's bits.
+func stamp(ts []uint64, wd uint64, idx int64) {
+	for b := range ts {
+		m := -(uint64(idx) >> uint(b) & 1) // all ones iff bit b of idx is set
+		ts[b] = ts[b]&^wd | wd&m
+	}
+}
+
+// unrefreshed returns the bits of word, every one stamped at batch a,
+// whose stamp in ts still equals a mod 2^len(ts) — the bits no later
+// arrival refreshed (see stampWords).
+func unrefreshed(ts []uint64, word uint64, a int64) uint64 {
+	for b := range ts {
+		word &^= ts[b] ^ -(uint64(a) >> uint(b) & 1)
+	}
+	return word
 }
 
 // autoWidth picks the lane-word count W ∈ {1, 2, 4} of a sweep (W=8 is

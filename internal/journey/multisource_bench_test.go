@@ -112,6 +112,7 @@ func BenchmarkAllForemost256(b *testing.B) {
 	c := markov256(b)
 	wait := rungOf(b, Wait())
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := sweepOf(b, c, wait, 0, SweepOpts{}).Arrivals(0)
 		if !m.Connected() {
@@ -129,6 +130,7 @@ func BenchmarkAllForemost256Parallel(b *testing.B) {
 	wait := rungOf(b, Wait())
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := sweepOf(b, c, wait, 0, SweepOpts{Workers: workers}).Arrivals(0)
 		if !m.Connected() {

@@ -14,15 +14,16 @@ package journey
 //
 //	win_r   ⊆ win_{r+1}    (a copy usable under budget d is usable under d' ≥ d)
 //	pend_r  ⊆ pend_{r+1}   (arrival masks are forwarded from nested live masks)
-//	lastArr_r ≤ lastArr_{r+1}
+//	due_r   ⊆ due_{r+1}    (so a bit's latest due tick at rung r ≤ that at r+1)
 //
 // The per-rung planes are laid out rung-contiguous per lane row
-// ([row*K + rung], [(row*64+bit)*K + rung], [cell*K + rung], where a
-// row is node*W + lane), so the K words a contact or a due-drain
-// touches for one lane share a cache line (K ≤ 8 is one line exactly)
-// — the rung loop costs far less than K separate sweeps, whose tick
-// loops, contact iteration, grid scheduling and scratch clears are all
-// paid once here. The lane dimension multiplies that amortization: a
+// ([row*K + rung] masks, [cell*K + rung] pending words, the rungs'
+// stamp words back to back per row, where a row is node*W + lane), so
+// the words a contact or a due-drain touches for one lane share a cache
+// line or two (K ≤ 8 masks are one line exactly) — the rung loop costs
+// far less than K separate sweeps, whose tick loops, contact
+// iteration, grid scheduling and scratch clears are all paid once
+// here. The lane dimension multiplies that amortization: a
 // W-lane block re-scans the contact stream once where W narrow blocks
 // would scan it W times, and a per-node gate word (the OR of every
 // lane's top-active-rung mask) skips dead tails in one load. Nesting
@@ -31,17 +32,21 @@ package journey
 // entry per (node, tick, lane) drains all K rungs.
 //
 // Per rung the update rules are verbatim msScratch.run — same word
-// dedup against the pending cell, same lastArr-refreshed expiry at
+// dedup against the pending cell, same stamp-refreshed expiry at
 // a+d_r+1, same terminal handling past the horizon — so each rung's
 // state evolves exactly as its independent single-mode sweep would, and
 // every rung's matrix is bit-identical to the single-mode kernel's
 // under that rung's mode at every width (pinned by the randomized
-// differential tests in spectrum_test.go). A per-(node, bit) "minimal
-// live rung" small-int plane alone cannot replace the per-rung lastArr
-// planes: two copies (arrival 5, rung 2) and (arrival 9, rung 4) form a
-// Pareto staircase — which rung is live depends on *which* arrival
-// refreshed it — so rung-aware expiry needs the latest arrival per rung
-// prefix. See DESIGN.md §7 and §9.
+// differential tests in spectrum_test.go and FuzzSweepForemost). Each
+// finite rung keeps its own bit-sliced stamp words (stampWords: B_r =
+// bits.Len64(d_r+1) words per lane row, wait none): a per-(node, bit)
+// "minimal live rung" alone cannot replace them, because two copies
+// (arrival 5, rung 2) and (arrival 9, rung 4) form a Pareto staircase —
+// which rung is live depends on *which* arrival refreshed it — so
+// rung-aware expiry needs the latest due tick per rung. A due drain
+// stamps each active finite rung's word in B_r word operations, and an
+// expiry check tests its word in as many, whatever their popcounts. See
+// DESIGN.md §7 and §9.
 
 import (
 	"errors"
@@ -237,17 +242,16 @@ type spExpire struct {
 // is layout-independent, so a pooled scratch can change width, rung
 // count or ring between sweeps.
 //
-// The per-bit tables are *slotted by arrival rung* rather than
-// replicated per rung: an arrival event whose minimal feasible rung is
-// q writes exactly one slot (q), and readers take the prefix over
-// slots ≤ r — min for foremost arrivals, max for latest due arrivals.
-// This is what makes a K-rung sweep cost far less than K passes: the
-// per-bit work of one arrival is O(1) instead of O(K − q), and in the
-// common case (a fresh copy, live at every rung) q = 0 saves the whole
-// fan. The lastArr slots carry monotonically growing epoch stamps
-// (stamp0 + window index) instead of raw ticks so reuse across sweeps
-// needs no O(n·w·64·k) clear: a stale slot from an earlier sweep always
-// compares below the current sweep's refresh threshold.
+// The per-bit first-arrival table is *slotted by arrival rung* rather
+// than replicated per rung: an arrival event whose minimal feasible
+// rung is q writes exactly one slot (q), and extraction takes the
+// prefix-min over slots ≤ r. This is what makes a K-rung sweep cost far
+// less than K passes: the per-bit work of one arrival is O(1) instead
+// of O(K − q), and in the common case (a fresh copy, live at every
+// rung) q = 0 saves the whole fan. The waiting windows keep no per-bit
+// state at all: each finite rung's latest due ticks are bit-sliced
+// across a few stamp words per lane row (stampWords), which need no
+// clearing between sweeps.
 type spScratch struct {
 	k       int      // rung count of the current sweep
 	w       int      // lane words per node of the current sweep
@@ -270,17 +274,11 @@ type spScratch struct {
 	// from this sweep. Assigned (not OR-ed) on the bit's first stage,
 	// so it needs no clearing between sweeps.
 	stageMask []uint64
-	// lastArr[(row*k+q)*64+j]: epoch stamp of the latest due arrival
-	// with arrival rung exactly q; rung r's refresh test is a
-	// prefix-max.
-	lastArr []tvg.Time
-	// lastAny[row*64+j]: epoch stamp of the latest due arrival at any
-	// rung — a one-probe filter in front of the prefix-max walk: a bit
-	// with no fresh arrival anywhere (the common case for a true
-	// expiry) is proven stale without touching the per-rung slots.
-	lastAny   []tvg.Time
-	stamp0    tvg.Time // epoch base of the current sweep's lastArr stamps
-	nextStamp tvg.Time // first stamp value available to the next sweep
+	// stamps[row*stampOff[k] + stampOff[r] + b]: bit b of every source's
+	// latest window index due at rung r, mod 2^B_r (B_r = stampOff[r+1]
+	// − stampOff[r] = stampWords(d_r); wait keeps none).
+	stamps    []uint64
+	stampOff  []int
 	grid      []uint64 // dense [((v*ring.n+slot)*w+lane)*k+r] pending-arrival words
 	sparse    map[int64]uint64
 	due       [][]int32    // per ring slot: lane rows (nl) with a pending cell (any rung)
@@ -333,9 +331,8 @@ func putSpScratch(s *spScratch) bool {
 // msScratch.retainedBytes).
 func (s *spScratch) retainedBytes() int64 {
 	words := int64(cap(s.win)) + int64(cap(s.reached)) + int64(cap(s.stageMask)) +
-		int64(cap(s.anyWin)) + int64(cap(s.grid))
-	times := int64(cap(s.first)) + int64(cap(s.lastArr)) + int64(cap(s.lastAny))
-	b := (words + times) * 8
+		int64(cap(s.anyWin)) + int64(cap(s.stamps)) + int64(cap(s.grid))
+	b := (words + int64(cap(s.first))) * 8
 	b += int64(cap(s.due))*24 + int64(cap(s.expire))*24
 	b += int64(s.sparsePeak) * 48 // ≈ bucket bytes per (int64, uint64) entry
 	return b
@@ -343,15 +340,11 @@ func (s *spScratch) retainedBytes() int64 {
 
 // prepare sizes the buffers for n nodes × w lanes, k rungs, a span-tick
 // window and the pending ring, and clears the per-(row, rung) masks; the
-// expire ring follows from the ladder's largest finite budget. first
-// needs no clearing (it is only read for slots whose reached bit is set
-// this sweep), and lastArr is made stale-proof by the epoch stamps: the
-// sweep claims a fresh stamp range [stamp0, stamp0+span], so any value
-// a previous sweep left behind — in any layout — is below every refresh
-// threshold this sweep can compute.
+// expire ring follows from the ladder's largest finite budget and the
+// stamp layout from each rung's. first needs no clearing (it is only
+// read for slots whose reached bit is set this sweep), nor do the
+// stamps (an expiry only tests bits stamped this sweep).
 func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, ring tickRing, dense bool) {
-	s.stamp0 = s.nextStamp
-	s.nextStamp += span + 1
 	k := ladder.Len()
 	s.k = k
 	s.w = w
@@ -365,10 +358,8 @@ func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, ring tickRing, 
 	}
 	if len(s.first) < rows*blockBits*k {
 		s.first = make([]tvg.Time, rows*blockBits*k)
-		s.lastArr = make([]tvg.Time, rows*blockBits*k)
 	}
-	if len(s.lastAny) < rows*blockBits {
-		s.lastAny = make([]tvg.Time, rows*blockBits)
+	if len(s.stageMask) < rows*blockBits {
 		s.stageMask = make([]uint64, rows*blockBits)
 	}
 	if len(s.anyWin) < n {
@@ -381,17 +372,23 @@ func (s *spScratch) prepare(ladder Ladder, n, w int, span int64, ring tickRing, 
 		s.finite = make([]bool, k)
 		s.remaining = make([]int, k)
 		s.maxFirst = make([]tvg.Time, k)
+		s.stampOff = make([]int, k+1)
 	}
 	s.d, s.finite = s.d[:k], s.finite[:k]
 	s.remaining, s.maxFirst = s.remaining[:k], s.maxFirst[:k]
+	s.stampOff = s.stampOff[:k+1]
 	s.anyFinite = false
 	s.ring, s.eRing = ring, tickRing{}
 	for r := 0; r < k; r++ {
 		s.d[r], s.finite[r] = ladder.Mode(r).Bound()
+		s.stampOff[r+1] = s.stampOff[r] + stampWords(s.d[r], s.finite[r], span)
 		if s.finite[r] {
 			s.anyFinite = true
 			s.eRing = expireRing(s.d[r], span) // rungs ascend: the last finite one is the largest
 		}
+	}
+	if len(s.stamps) < rows*s.stampOff[k] {
+		s.stamps = make([]uint64, rows*s.stampOff[k])
 	}
 	if int64(len(s.due)) < ring.n {
 		s.due = make([][]int32, ring.n)
@@ -498,9 +495,8 @@ func (s *spScratch) record(row, r int, w, lowest, seenNew uint64, arr tvg.Time) 
 // begin prepares the scratch for the block [base, base+cnt) and seeds
 // the sources at every rung; the tick loop itself is run. Same
 // begin/run/cleanup contract as msScratch — a SweepCheckpoint keeps
-// the scratch between run calls, and the epoch-stamp base claimed here
-// (prepare) serves every later run because stamps are stamp0 + window
-// index regardless of which run processes the tick.
+// the scratch between run calls, and stamps are window indices
+// whichever run processes the tick.
 func (s *spScratch) begin(c *tvg.ContactSet, ladder Ladder, base, cnt int, t0 tvg.Time, width int, ring tickRing) {
 	n := c.Graph().NumNodes()
 	k := ladder.Len()
@@ -576,6 +572,7 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 	n, w, k := s.n, s.w, s.k
 	t0, span, dense := s.t0, s.span, s.dense
 	ringN, mask, eMask := s.ring.n, s.ring.mask, s.eRing.mask
+	stampStride := s.stampOff[k]
 	horizon := c.Horizon()
 	contacts := c.Contacts()
 	var swept, expired, retired int64 // block-local telemetry, merged into st once
@@ -623,22 +620,20 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		slot := idx & mask
 
 		// 1. Pending arrivals at t come due at every active rung: fold
-		// into the live masks, stamp the latest-arrival slot of every
-		// bit once at its arrival rung (the lowest rung it is due at),
-		// and (for finite budgets) schedule the word's expiry d_r+1
-		// ticks out. Done rungs only have their cells zeroed, keeping
-		// the grid self-cleaning. The top active rung's fold covers
-		// every lower rung's bits (nesting), so it alone feeds the gate
-		// word.
+		// into the live masks, stamp idx into each finite rung's stamp
+		// words, and schedule the word's expiry d_r+1 ticks out once, at
+		// each bit's arrival rung (the lowest rung it is due at). Done
+		// rungs only have their cells zeroed, keeping the grid
+		// self-cleaning. The top active rung's fold covers every lower
+		// rung's bits (nesting), so it alone feeds the gate word.
 		for _, nl := range s.due[slot] {
 			v := int(nl >> laneShift)
 			l := int(nl & laneMask)
 			cellBase := ((int64(v)*ringN+slot)*int64(w) + int64(l)) * int64(k)
 			row := v*w + l
 			wb := row * k
-			ab := row * blockBits
+			sb := row * stampStride
 			var seen uint64
-			stamp := s.stamp0 + tvg.Time(idx)
 			for r := 0; r < k; r++ {
 				wd := s.cell(cellBase, r, dense)
 				if wd == 0 {
@@ -652,17 +647,12 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 				if r == ta-1 {
 					s.anyWin[v] |= wd
 				}
+				stamp(s.stamps[sb+s.stampOff[r]:sb+s.stampOff[r+1]], wd, idx)
 				delta := wd &^ seen // bits whose arrival rung is exactly r
 				if delta == 0 {
 					continue
 				}
 				seen |= wd
-				fb := (wb + r) * blockBits
-				for mw := delta; mw != 0; mw &= mw - 1 {
-					j := bits.TrailingZeros64(mw)
-					s.lastArr[fb+j] = stamp
-					s.lastAny[ab+j] = stamp
-				}
 				// One expiry check at the arrival rung's own deadline;
 				// stale bits cascade to later rungs from there. A window
 				// that outlives the sweep needs no check at any rung.
@@ -675,13 +665,15 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 		s.due[slot] = s.due[slot][:0]
 
 		// 2. Expire words whose rung-r window [a, a+d_r] ended last tick;
-		// bits refreshed by a newer arrival usable at rung r survive.
-		// The refresh test is a prefix-max over the bit's arrival-rung
-		// slots ≤ r (slots are epoch stamps, so anything a previous
-		// sweep left behind compares below the threshold). Lower rungs
-		// expire no later than higher ones, so the win planes stay
-		// nested. A shrunk top-active plane invalidates the node's gate
-		// word, which is rebuilt from the surviving lanes.
+		// bits that came due at rung r again after the batch (a refresh
+		// by any arrival usable at rung r) survive. Every bit of the word
+		// was stamped at rung r at the batch — an arrival-rung check's
+		// bits were due at r, a cascaded check's at the rung below and so
+		// (nesting) at r — so the rung's stamp words decide it exactly
+		// (stampWords). Lower rungs expire no later than higher ones, so
+		// the win planes stay nested. A shrunk top-active plane
+		// invalidates the node's gate word, which is rebuilt from the
+		// surviving lanes.
 		if s.anyFinite {
 			es := idx & eMask
 			expired += int64(len(s.expire[es]))
@@ -690,31 +682,12 @@ func (s *spScratch) run(c *tvg.ContactSet, from, upTo tvg.Time, st *obs.SweepSta
 				if r >= ta {
 					continue
 				}
-				// Refreshed iff some arrival with rung ≤ r came due
-				// strictly after the batch, i.e. some slot past the
-				// batch's stamp. Slots are epoch stamps, so values from
-				// earlier sweeps always compare stale.
-				threshold := s.stamp0 + tvg.Time(e.batch) + 1
 				v := int(e.nl >> laneShift)
 				l := int(e.nl & laneMask)
 				row := v*w + l
 				nb := row * k
-				ab := row * blockBits
-				stale := e.word
-				for mw := e.word; mw != 0; mw &= mw - 1 {
-					j := bits.TrailingZeros64(mw)
-					if s.lastAny[ab+j] < threshold {
-						continue // no fresh arrival at any rung: stale
-					}
-					// Walk the slots highest-first: refreshes cluster at
-					// the bit's usual arrival rung, rarely below it.
-					for q := r; q >= 0; q-- {
-						if s.lastArr[(nb+q)*blockBits+j] >= threshold {
-							stale &^= 1 << uint(j)
-							break
-						}
-					}
-				}
+				sb := row * stampStride
+				stale := unrefreshed(s.stamps[sb+s.stampOff[r]:sb+s.stampOff[r+1]], e.word, e.batch)
 				if stale == 0 {
 					continue
 				}

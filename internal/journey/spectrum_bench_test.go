@@ -41,6 +41,7 @@ func BenchmarkWaitSpectrum256(b *testing.B) {
 	c := markov256(b)
 	ladder := benchLadder8(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sweepOf(b, c, ladder, 0, SweepOpts{})
 		if _, ok := res.FirstConnected(); !ok {
@@ -57,6 +58,7 @@ func BenchmarkSpectrumIndependent256(b *testing.B) {
 	c := markov256(b)
 	rungs := benchRungs(b, benchLadder8(b))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		connected := false
 		for _, rung := range rungs {
@@ -92,6 +94,7 @@ func BenchmarkWaitSpectrum256Connected(b *testing.B) {
 	c := markovPersistent256(b)
 	ladder := benchLadder8(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sweepOf(b, c, ladder, 0, SweepOpts{})
 		if first, ok := res.FirstConnected(); !ok || first != 0 {
@@ -106,6 +109,7 @@ func BenchmarkSpectrumIndependent256Connected(b *testing.B) {
 	c := markovPersistent256(b)
 	rungs := benchRungs(b, benchLadder8(b))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rung := range rungs {
 			sweepOf(b, c, rung, 0, SweepOpts{})

@@ -423,7 +423,7 @@ func TestScratchRetentionCap(t *testing.T) {
 		t.Fatalf("setup invalid: a 1023-tick latency rings %d ticks, want 1024", longRing.n)
 	}
 	s := getMsScratch()
-	s.prepare(64, 1, newTickRing(1, span), tickRing{}, true)
+	s.prepare(64, 1, newTickRing(1, span), tickRing{}, 0, true)
 	if s.retainedBytes() > msMaxRetainedBytes {
 		t.Fatalf("small scratch charged %d bytes", s.retainedBytes())
 	}
@@ -431,7 +431,7 @@ func TestScratchRetentionCap(t *testing.T) {
 		t.Fatal("small multisource scratch was dropped")
 	}
 	s = getMsScratch()
-	s.prepare(2100, maxSweepWidth, longRing, tickRing{}, true) // dense grid alone ≈ 138 MB
+	s.prepare(2100, maxSweepWidth, longRing, tickRing{}, 0, true) // dense grid alone ≈ 138 MB
 	if s.retainedBytes() <= msMaxRetainedBytes {
 		t.Fatalf("oversized scratch charged only %d bytes", s.retainedBytes())
 	}
