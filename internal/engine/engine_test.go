@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -184,6 +185,11 @@ func TestSpecValidation(t *testing.T) {
 		{Graph: GraphSpec{Model: "markov", Nodes: 8, Horizon: 10}, Broadcast: func() *tvg.Node { n := tvg.Node(99); return &n }()},
 		{Graph: GraphSpec{Model: "markov", Nodes: 8, Birth: 1.5, Death: 0.5, Horizon: 10}},
 		{Graph: GraphSpec{Model: "bernoulli", Nodes: 8, P: -0.1, Horizon: 10}},
+		{Graph: GraphSpec{Model: "markov", Nodes: 8, Birth: math.NaN(), Death: 0.5, Horizon: 10}},
+		{Graph: GraphSpec{Model: "markov", Nodes: 8, Birth: 0.5, Death: math.NaN(), Horizon: 10, SkipSampling: true}},
+		{Graph: GraphSpec{Model: "bernoulli", Nodes: 8, P: math.NaN(), Horizon: 10}},
+		{Graph: GraphSpec{Model: "markov", Nodes: 8, Birth: math.Inf(1), Death: 0.5, Horizon: 10}},
+		{Graph: GraphSpec{Model: "bernoulli", Nodes: 8, P: math.Inf(-1), Horizon: 10}},
 		{Graph: GraphSpec{Model: "markov", Nodes: 4096, Birth: 0.1, Death: 0.5, Horizon: 1000}},
 		{Graph: GraphSpec{Model: "markov", Nodes: 8, Horizon: 10}, Messages: maxMessages, Replicates: 100, Modes: []string{"nowait", "wait"}},
 	}

@@ -107,7 +107,7 @@ func (g GraphSpec) validate() error {
 		name  string
 		value float64
 	}{{"birth", g.Birth}, {"death", g.Death}, {"p", g.P}} {
-		if p.value < 0 || p.value > 1 {
+		if !(p.value >= 0 && p.value <= 1) { // NaN fails too
 			return specErr("%s must be in [0, 1], got %g", p.name, p.value)
 		}
 	}

@@ -59,6 +59,39 @@ func BenchmarkGenerateMarkov256(b *testing.B) {
 	})
 }
 
+// coldShapes are spec-cold's markov shapes, copied from coldShapes in
+// perfbench/workload.go (keep the two in step): the generation every
+// spec-cold request pays before its sweep, flood or search.
+var coldShapes = []struct {
+	name string
+	p    EdgeMarkovianParams
+}{
+	{"markov64", EdgeMarkovianParams{Nodes: 64, PBirth: 0.01, PDeath: 0.6, Horizon: 200}},
+	{"markov96", EdgeMarkovianParams{Nodes: 96, PBirth: 0.01, PDeath: 0.1, Horizon: 30}},
+	{"markov128skip", EdgeMarkovianParams{Nodes: 128, PBirth: 0.004, PDeath: 0.4, Horizon: 150, SkipSampling: true}},
+	{"markov256skip_d0.5", EdgeMarkovianParams{Nodes: 256, PBirth: 0.001, PDeath: 0.5, Horizon: 100, SkipSampling: true}},
+	{"markov256skip_d0.05", EdgeMarkovianParams{Nodes: 256, PBirth: 0.001, PDeath: 0.05, Horizon: 30, SkipSampling: true}},
+}
+
+// BenchmarkGenerateColdShapes generates each spec-cold shape into a
+// pooled builder, as the engine does on a cold request. The seed
+// changes every iteration, as it does across spec-cold's requests.
+func BenchmarkGenerateColdShapes(b *testing.B) {
+	for _, shape := range coldShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			p := shape.p
+			builder := tvg.NewBuilder()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Seed = int64(i)
+				if _, err := EdgeMarkovian(p, builder); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGenerateMobility compares the two mobility paths (the walk
 // itself dominates; the streaming path removes the TimeSet/Compile
 // overhead).

@@ -19,11 +19,31 @@
 //     real Presence/Latency schedules, for callers that need the graph
 //     itself (automata constructions, rendering, re-compiling at several
 //     horizons).
+//
+// Every generator draws from rand.New(rand.NewSource(Seed)). The
+// edge-Markovian samplers, which every generated network of the served
+// workloads runs through, reproduce that stream bit for bit through a
+// concrete type instead of calling math/rand (rng.go, DESIGN.md §6):
+//
+//   - the stream is math/rand's lagged-Fibonacci recurrence, so its
+//     first 607 outputs, read once from the real source, are its whole
+//     state, and later outputs are computed 607 at a time;
+//   - a Bernoulli draw Float64() < p is one integer compare of the
+//     63-bit draw against a threshold computed once per generation, and
+//     draws that Float64 discards (those that round to 1.0) are skipped
+//     exactly as Float64 skips them;
+//   - a geometric draw computes math.Log1p(-p) once, and returns its
+//     horizon clamp without a log when the uniform lies clearly past the
+//     clamp threshold; within a relative 1e-9 band of it, and below it,
+//     the draw evaluates the exact inversion.
+//
+// So a (params, seed) pair yields the same contacts it always has; the
+// oracle tests hold both samplers to the math/rand originals.
+// RandomPeriodic and GridMobility still call math/rand directly.
 package gen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"tvgwait/internal/tvg"
@@ -64,7 +84,7 @@ func (p EdgeMarkovianParams) validate() error {
 	if p.Nodes < 2 {
 		return fmt.Errorf("gen: need at least 2 nodes, got %d", p.Nodes)
 	}
-	if p.PBirth < 0 || p.PBirth > 1 || p.PDeath < 0 || p.PDeath > 1 {
+	if !(p.PBirth >= 0 && p.PBirth <= 1 && p.PDeath >= 0 && p.PDeath <= 1) { // NaN fails too
 		return fmt.Errorf("gen: probabilities must be in [0,1], got birth=%g death=%g", p.PBirth, p.PDeath)
 	}
 	if p.Horizon < 0 {
@@ -91,97 +111,123 @@ func (p EdgeMarkovianParams) normalized() (EdgeMarkovianParams, error) {
 }
 
 // markovSink receives the generated chain: pair opens the ordered pair
-// (u, v), tick reports one present tick of the current pair (strictly
-// increasing), done closes the last pair. Both construction paths
-// implement it, so one sink allocation serves all N² chains.
+// (u, v), run reports the present ticks [from, to] of the current pair
+// (runs arrive in increasing order, never adjacent), done closes the
+// last pair. Both construction paths implement it, so one sink
+// allocation serves all N² chains.
 type markovSink interface {
 	pair(u, v tvg.Node)
-	tick(t tvg.Time)
+	run(from, to tvg.Time)
 	done()
 }
 
-// markovChainPerTick drives one pair's two-state chain, calling
-// sink.tick for every present tick in increasing order. It reproduces
-// the historical draw sequence exactly: one stationary draw, then one
-// uniform per tick (present ticks draw death, absent ticks draw birth).
-func markovChainPerTick(rng *rand.Rand, p EdgeMarkovianParams, stationary float64, sink markovSink) {
-	present := rng.Float64() < stationary
-	for t := tvg.Time(0); t <= p.Horizon; t++ {
-		if present {
-			sink.tick(t)
-			if rng.Float64() < p.PDeath {
-				present = false
+// markovChain is one generation's sampler: the replayed RNG stream and
+// every decision constant its draws need, computed once.
+type markovChain struct {
+	rng                      chainRNG
+	p                        EdgeMarkovianParams
+	stationary, birth, death uint64    // unitThreshold of each probability
+	gap, life                geometric // Geom₀(PBirth) and Geom₀(PDeath)
+}
+
+// perTick drives one pair's two-state chain on the historical draw
+// sequence: one stationary draw, then one draw per tick (present ticks
+// draw death, absent ticks draw birth).
+func (c *markovChain) perTick(sink markovSink) {
+	r := &c.rng
+	h := c.p.Horizon
+	from := tvg.Time(0)
+	present := r.below(c.stationary)
+	// flip is the threshold of the draw that changes the state: death
+	// while present, birth while absent.
+	flip := c.birth
+	if present {
+		flip = c.death
+	}
+	// The draw is chainRNG.unit inlined by hand, with the stream
+	// position in a local: this loop makes N²·horizon draws.
+	pos := r.pos
+	for t := tvg.Time(0); t <= h; t++ {
+		var v uint64
+		for {
+			if uint(pos) >= rngLen {
+				r.refill()
+				pos = 0
 			}
-		} else if rng.Float64() < p.PBirth {
-			present = true
+			v = r.x[pos] & (1<<63 - 1)
+			pos++
+			if v < unitLimit {
+				break
+			}
+		}
+		if v < flip {
+			if present {
+				sink.run(from, t)
+				flip = c.birth
+			} else {
+				from, flip = t+1, c.death
+			}
+			present = !present
 		}
 	}
+	r.pos = pos
+	if present && from <= h {
+		sink.run(from, h)
+	}
 }
 
-// geometric0 draws the number of consecutive failures before the first
-// success of a Bernoulli(p) sequence — P(k) = (1-p)^k·p — by inversion,
-// clamped to limit (callers only care whether the run crosses the
-// horizon, and the clamp keeps the float→int conversion in range).
-func geometric0(rng *rand.Rand, p float64, limit tvg.Time) tvg.Time {
-	if p >= 1 {
-		return 0
-	}
-	k := math.Log1p(-rng.Float64()) / math.Log1p(-p)
-	if !(k < float64(limit)) { // also catches NaN/+Inf
-		return limit
-	}
-	return tvg.Time(k)
-}
-
-// markovChainRunLength samples the same chain as markovChainPerTick by
-// run lengths: present runs are Geometric(PDeath), absent gaps are
-// Geometric(PBirth), the start state is stationary. O(contacts) RNG
-// draws instead of O(horizon) — but a different stream: the two
-// variants agree in distribution, not draw for draw.
-func markovChainRunLength(rng *rand.Rand, p EdgeMarkovianParams, stationary float64, sink markovSink) {
-	limit := p.Horizon + 2 // any clamp ≥ horizon+1 means "past the end"
+// runLength samples the same chain as perTick by run lengths: present
+// runs are Geometric(PDeath), absent gaps are Geometric(PBirth), the
+// start state is stationary. O(contacts) RNG draws instead of
+// O(horizon) — but a different stream: the two variants agree in
+// distribution, not draw for draw.
+func (c *markovChain) runLength(sink markovSink) {
+	h := c.p.Horizon
 	pos := tvg.Time(0)
-	if !(rng.Float64() < stationary) {
-		if p.PBirth == 0 {
+	if !c.rng.below(c.stationary) {
+		if c.p.PBirth == 0 {
 			return // never born
 		}
 		// Absent at tick s, the chain turns present at s+1 with
 		// probability PBirth: the first present tick is 1 + Geom₀.
-		pos = 1 + geometric0(rng, p.PBirth, limit)
+		pos = 1 + c.gap.draw(&c.rng)
 	}
-	for pos <= p.Horizon {
-		if p.PDeath == 0 {
-			for t := pos; t <= p.Horizon; t++ {
-				sink.tick(t)
-			}
+	for pos <= h {
+		if c.p.PDeath == 0 {
+			sink.run(pos, h)
 			return
 		}
 		// Present at pos, die after each tick with probability PDeath:
 		// the run carries 1 + Geom₀ contacts.
-		end := pos + geometric0(rng, p.PDeath, limit)
-		if end > p.Horizon {
-			end = p.Horizon
-		}
-		for t := pos; t <= end; t++ {
-			sink.tick(t)
-		}
-		if end == p.Horizon || p.PBirth == 0 {
+		end := min(pos+c.life.draw(&c.rng), h)
+		sink.run(pos, end)
+		if end == h || c.p.PBirth == 0 {
 			return
 		}
-		pos = end + 2 + geometric0(rng, p.PBirth, limit)
+		pos = end + 2 + c.gap.draw(&c.rng)
 	}
 }
 
 // eachMarkovPair runs the chain of every ordered pair (u, v), u ≠ v, in
 // (u, v) order — the edge-id order both construction paths share — and
-// closes the sink. The sink is the only per-generation allocation the
-// sweep makes: the hot loop is free of closures.
+// closes the sink. The sink and the seeding source are the only
+// per-generation allocations: the chain lives on the stack and the hot
+// loop is free of closures.
 func eachMarkovPair(p EdgeMarkovianParams, sink markovSink) {
-	rng := rand.New(rand.NewSource(p.Seed))
 	stationary := 0.0
 	if p.PBirth+p.PDeath > 0 {
 		stationary = p.PBirth / (p.PBirth + p.PDeath)
 	}
+	limit := p.Horizon + 2 // any clamp ≥ horizon+1 means "past the end"
+	c := &markovChain{
+		p:          p,
+		stationary: unitThreshold(stationary),
+		birth:      unitThreshold(p.PBirth),
+		death:      unitThreshold(p.PDeath),
+		gap:        newGeometric(p.PBirth, limit),
+		life:       newGeometric(p.PDeath, limit),
+	}
+	c.rng.seed(p.Seed)
 	for u := 0; u < p.Nodes; u++ {
 		for v := 0; v < p.Nodes; v++ {
 			if u == v {
@@ -189,16 +235,16 @@ func eachMarkovPair(p EdgeMarkovianParams, sink markovSink) {
 			}
 			sink.pair(tvg.Node(u), tvg.Node(v))
 			if p.SkipSampling {
-				markovChainRunLength(rng, p, stationary, sink)
+				c.runLength(sink)
 			} else {
-				markovChainPerTick(rng, p, stationary, sink)
+				c.perTick(sink)
 			}
 		}
 	}
 	sink.done()
 }
 
-// builderMarkovSink streams chain ticks straight into a tvg.Builder,
+// builderMarkovSink streams chain runs straight into a tvg.Builder,
 // starting each pair's edge lazily at its first contact so never-present
 // pairs contribute no edge.
 type builderMarkovSink struct {
@@ -211,17 +257,17 @@ type builderMarkovSink struct {
 
 func (s *builderMarkovSink) pair(u, v tvg.Node) { s.u, s.v, s.started = u, v, false }
 
-func (s *builderMarkovSink) tick(t tvg.Time) {
+func (s *builderMarkovSink) run(from, to tvg.Time) {
 	if !s.started {
 		s.b.StartEdge(s.u, s.v, s.label)
 		s.started = true
 	}
-	s.b.Append(t, t+s.latency)
+	s.b.AppendRun(from, to, s.latency)
 }
 
 func (s *builderMarkovSink) done() {}
 
-// graphMarkovSink collects chain ticks into per-pair TimeSet edges — the
+// graphMarkovSink collects chain runs into per-pair TimeSet edges — the
 // historical materialisation.
 type graphMarkovSink struct {
 	g       *tvg.Graph
@@ -237,7 +283,11 @@ func (s *graphMarkovSink) pair(u, v tvg.Node) {
 	s.u, s.v, s.primed = u, v, true
 }
 
-func (s *graphMarkovSink) tick(t tvg.Time) { s.times = append(s.times, t) }
+func (s *graphMarkovSink) run(from, to tvg.Time) {
+	for t := from; t <= to; t++ {
+		s.times = append(s.times, t)
+	}
+}
 
 func (s *graphMarkovSink) done() { s.flush() }
 

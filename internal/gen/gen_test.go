@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"tvgwait/internal/tvg"
@@ -13,10 +14,17 @@ func TestEdgeMarkovianValidation(t *testing.T) {
 		{Nodes: 3, PBirth: 0.5, PDeath: 1.5, Horizon: 10},
 		{Nodes: 3, PBirth: 0.5, PDeath: 0.5, Horizon: -1},
 		{Nodes: 3, PBirth: 0.5, PDeath: 0.5, Horizon: 5, Latency: -2},
+		{Nodes: 3, PBirth: math.NaN(), PDeath: 0.5, Horizon: 10},
+		{Nodes: 3, PBirth: 0.5, PDeath: math.NaN(), Horizon: 10, SkipSampling: true},
+		{Nodes: 3, PBirth: math.Inf(1), PDeath: 0.5, Horizon: 10},
+		{Nodes: 3, PBirth: 0.5, PDeath: math.Inf(-1), Horizon: 10},
 	}
 	for i, p := range bad {
 		if _, err := EdgeMarkovianGraph(p); err == nil {
 			t.Errorf("case %d should fail: %+v", i, p)
+		}
+		if _, err := EdgeMarkovian(p, nil); err == nil {
+			t.Errorf("case %d should fail on the streaming path: %+v", i, p)
 		}
 	}
 }

@@ -172,6 +172,44 @@ func (b *Builder) Append(dep, arr Time) {
 	}
 }
 
+// AppendRun records a run of contacts of the current edge, one departing
+// at every tick of [from, to] and each arriving latency ticks later: the
+// contacts Append(t, t+latency) for t = from … to would record, checked
+// once for the whole run. An empty run (from > to) records nothing.
+func (b *Builder) AppendRun(from, to, latency Time) {
+	if from > to {
+		return
+	}
+	if len(b.edges) == 0 {
+		b.fail(fmt.Errorf("tvg: builder Append before StartEdge"))
+		return
+	}
+	id := len(b.edges) - 1
+	e := &b.edges[id]
+	switch {
+	case from < 0:
+		b.fail(fmt.Errorf("tvg: builder edge %d departure %d outside [0, %d]", id, from, b.horizon))
+	case to > b.horizon:
+		b.fail(fmt.Errorf("tvg: builder edge %d departure %d outside [0, %d]", id, to, b.horizon))
+	case b.base != nil && from <= b.baseDep:
+		b.fail(fmt.Errorf("tvg: builder edge %d departure %d not after the extended set's last departure %d",
+			id, from, b.baseDep))
+	case latency < 1:
+		b.fail(fmt.Errorf("tvg: builder edge %d has latency %d < 1 at time %d", id, latency, from))
+	case latency > math.MaxInt64-to:
+		b.fail(fmt.Errorf("tvg: builder edge %d arrival past the largest time (latency %d)", id, latency))
+	case int32(len(b.contacts)) > e.off && b.contacts[len(b.contacts)-1].Dep >= from:
+		b.fail(fmt.Errorf("tvg: builder edge %d departures not strictly increasing (%d after %d)",
+			id, from, b.contacts[len(b.contacts)-1].Dep))
+	case to-from >= math.MaxInt32-int64(len(b.contacts)):
+		b.fail(fmt.Errorf("tvg: schedule has more than %d contacts", math.MaxInt32))
+	default:
+		for t := from; t <= to; t++ {
+			b.contacts = append(b.contacts, Contact{Edge: EdgeID(id), From: e.from, To: e.to, Dep: t, Arr: t + latency})
+		}
+	}
+}
+
 // Finalize materialises the streamed contacts into an immutable
 // ContactSet — contact array, per-edge/per-node/per-tick CSR indexes
 // and a Graph whose nodes are named "v0"… and whose edge schedules are

@@ -1,6 +1,7 @@
 package tvg
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -139,6 +140,42 @@ func TestBuilderMatchesCompile(t *testing.T) {
 	}
 }
 
+// TestBuilderAppendRun pins AppendRun to the Append loop it replaces:
+// runs, single-tick runs and empty runs build the same set as one
+// Append per departure, and runs continue after earlier contacts.
+func TestBuilderAppendRun(t *testing.T) {
+	type run struct{ from, to, latency Time }
+	edges := [][]run{
+		{{0, 2, 1}, {4, 4, 3}, {6, 5, 1}, {7, 9, 2}},
+		{},
+		{{3, 2, 1}},
+		{{0, 9, 5}},
+	}
+	perContact, perRun := NewBuilder(), NewBuilder()
+	perContact.Reset(3, 9)
+	perRun.Reset(3, 9)
+	for i, runs := range edges {
+		from, to := Node(i%3), Node((i+1)%3)
+		perContact.StartEdge(from, to, 'a')
+		perRun.StartEdge(from, to, 'a')
+		for _, r := range runs {
+			for dep := r.from; dep <= r.to; dep++ {
+				perContact.Append(dep, dep+r.latency)
+			}
+			perRun.AppendRun(r.from, r.to, r.latency)
+		}
+	}
+	want, err := perContact.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := perRun.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameContactSet(t, got, want)
+}
+
 func TestBuilderEmpty(t *testing.T) {
 	b := NewBuilder()
 	b.Reset(3, 0)
@@ -216,6 +253,33 @@ func TestBuilderErrors(t *testing.T) {
 			b.StartEdge(0, 1, 'a')
 			b.Append(3, 4)
 			b.Append(3, 4)
+		}},
+		{"run before edge", "before StartEdge", func(b *Builder) { b.Reset(2, 5); b.AppendRun(0, 1, 1) }},
+		{"run from a negative departure", "departure -1 outside [0, 5]", func(b *Builder) {
+			b.Reset(2, 5)
+			b.StartEdge(0, 1, 'a')
+			b.AppendRun(-1, 2, 1)
+		}},
+		{"run past horizon", "departure 6 outside [0, 5]", func(b *Builder) {
+			b.Reset(2, 5)
+			b.StartEdge(0, 1, 'a')
+			b.AppendRun(4, 6, 1)
+		}},
+		{"run with zero latency", "latency 0 < 1 at time 2", func(b *Builder) {
+			b.Reset(2, 5)
+			b.StartEdge(0, 1, 'a')
+			b.AppendRun(2, 3, 0)
+		}},
+		{"run arriving past the largest time", "arrival past the largest time", func(b *Builder) {
+			b.Reset(2, 5)
+			b.StartEdge(0, 1, 'a')
+			b.AppendRun(0, 1, math.MaxInt64)
+		}},
+		{"run overlapping the last departure", "not strictly increasing (3 after 3)", func(b *Builder) {
+			b.Reset(2, 5)
+			b.StartEdge(0, 1, 'a')
+			b.AppendRun(1, 3, 1)
+			b.AppendRun(3, 4, 1)
 		}},
 	}
 	for _, tc := range cases {

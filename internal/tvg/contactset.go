@@ -174,9 +174,11 @@ func inHorizonLatency(ct *Contact, horizon Time) Time {
 
 // SizeBytes reports the approximate heap footprint of the compiled
 // schedule: the contact array plus the three offset indexes. The Graph
-// the set was compiled from is not included (it may be shared). Used by
-// the engine's cache byte gauges; exactness to the allocator's rounding
-// is not a goal.
+// is not priced. A set compiled from a Graph may share it, but a
+// Builder-made set owns its Graph (the edge table, the Presence/Latency
+// views, the adjacency lists and the node names), which SizeBytes leaves
+// out. Used by the engine's cache byte gauges; exactness to the
+// allocator's rounding is not a goal.
 func (c *ContactSet) SizeBytes() int64 {
 	return int64(unsafe.Sizeof(*c)) +
 		int64(len(c.contacts))*int64(unsafe.Sizeof(Contact{})) +
